@@ -15,14 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
 from .inflation import (DEFAULT_BUDGET, DEFAULT_ITEM_CAP, ItemCapError,
                         VerifyResult, enumerate_A)
 from .words import Word, fib
-from .wordset import WordSet, slice_packed, union_packed
+from .wordset import WordSet
 
 # Stabilization generation used to define F_n for n <= 3: factor sets of
 # length <= f_3 = 2 are empirically constant from generation 5 on; we use
@@ -88,9 +88,8 @@ def factor_set(s: WordSet, ell: int) -> WordSet:
     if not 1 <= ell <= s.length:
         raise IndexError(f"factor length {ell} outside [1, {s.length}]")
     # Dedup per offset before the union keeps peak memory at one window array.
-    chunks = [np.unique(slice_packed(s.packed, k, k + ell - 1))
-              for k in range(1, s.length - ell + 2)]
-    return WordSet.from_packed(ell, union_packed(chunks), canonical=True)
+    return reduce(WordSet.union, (s.slices(k, k + ell - 1)
+                                  for k in range(1, s.length - ell + 2)))
 
 
 def _window_plan(n: int) -> list[tuple[int, int, int, int, int, int]]:
@@ -121,10 +120,7 @@ def _factor_set_Fn_cached(n: int, budget: int, item_cap: int) -> WordSet:
         raise ItemCapError(
             f"windowed F_{n} projects {projected} candidates, above item cap {item_cap}"
         )
-    acc = np.empty(0, dtype=np.uint64)
-    for suf, pre in pieces:
-        acc = np.union1d(acc, suf.product(pre).packed)
-    return WordSet.from_packed(fib(n), acc, canonical=True)
+    return reduce(WordSet.union, (suf.product(pre) for suf, pre in pieces))
 
 
 def factor_set_Fn(n: int, budget: int = DEFAULT_BUDGET,
@@ -147,14 +143,9 @@ def factor_set_Fn(n: int, budget: int = DEFAULT_BUDGET,
 @lru_cache(maxsize=None)
 def _cut_products(n: int, budget: int) -> list[tuple[int, int, int]]:
     """(k, |A_n[1,k]|, |A_n[k+1,f_n]|) for every cut point k."""
-    packed = enumerate_A(n, budget).packed
-    f_n = fib(n)
-    out = []
-    for k in range(1, f_n):
-        pre = len(np.unique(slice_packed(packed, 1, k)))
-        suf = len(np.unique(slice_packed(packed, k + 1, f_n)))
-        out.append((k, pre, suf))
-    return out
+    a = enumerate_A(n, budget)
+    return [(k, len(a.slices(1, k)), len(a.slices(k + 1, a.length)))
+            for k in range(1, a.length)]
 
 
 def c_stat(n: int, budget: int = DEFAULT_BUDGET) -> Fraction:
@@ -225,7 +216,7 @@ def verify_factor_stability(n: int, k: int, budget: int = DEFAULT_BUDGET) -> Ver
     later = factor_set(enumerate_A(n + k, budget), f_n)
     if first == later:
         return VerifyResult(True)
-    diff = np.setxor1d(first.packed, later.packed)
+    diff = np.setxor1d(first.packed, later.packed, assume_unique=True)
     w = Word(int(diff[0]), f_n)
     return VerifyResult(False, f"F(A_{n + 1},f_{n}) != F(A_{n + k},f_{n}), e.g. {w}")
 
@@ -275,7 +266,7 @@ def build_report(n: int, budget: int = DEFAULT_BUDGET,
     if n == 0:
         return FactorReport(0, 0, a_count, None, None, None)
     f_count = len(factor_set_Fn(n, budget, item_cap))
-    fa_next = None if n == 0 else fa_next_count(n, budget, item_cap)
+    fa_next = fa_next_count(n, budget, item_cap)
     if n < 3:
         return FactorReport(n, fib(n), a_count, f_count, fa_next, None)
     c = c_stat(n, budget)

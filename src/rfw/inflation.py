@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .words import CapacityError, Word, fib
-from .wordset import WordSet, union_packed
+from .wordset import WordSet
 
 DEFAULT_BUDGET = 10**8
 DEFAULT_ITEM_CAP = 1 << 26
@@ -139,8 +139,7 @@ def _enumerate(n: int) -> WordSet:
     if n == 2:
         return WordSet(1, [Word.parse("1")])
     big, small = _enumerate(n - 1), _enumerate(n - 2)
-    packed = union_packed([big.product(small).packed, small.product(big).packed])
-    return WordSet.from_packed(fib(n), packed, canonical=True)
+    return big.product(small).union(small.product(big))
 
 
 # --- counting ---------------------------------------------------------
@@ -249,6 +248,6 @@ def verify_overlap(n: int, budget: int = DEFAULT_BUDGET) -> VerifyResult:
     rhs = a2.product(a3).product(a2)
     if lhs == rhs:
         return VerifyResult(True)
-    diff = np.setxor1d(lhs.packed, rhs.packed)
+    diff = np.setxor1d(lhs.packed, rhs.packed, assume_unique=True)
     w = Word(int(diff[0]), lhs.length)
     return VerifyResult(False, f"overlap mismatch at n = {n}, e.g. {w}")
