@@ -2,7 +2,9 @@
 
 Subcommands: table, entropy, verify, sample, factors, export.  Exit codes:
 0 all good, 1 a verified property failed, 2 resource or configuration
-errors (budget, item cap, capacity, bad flags).
+errors (budget, item cap, capacity, bad flags or values, files that cannot
+be written).  `main` turns each of these errors into exit code 2 and a
+one-line message.
 """
 
 from __future__ import annotations
@@ -35,11 +37,7 @@ def cmd_table(args) -> int:
         print(f"table: max-n {args.max_n} not computable (|A_11| needs 89-symbol words)",
               file=sys.stderr)
         return _EXIT_RESOURCE
-    try:
-        rows = factors.table_rows(args.max_n, args.budget, args.item_cap)
-    except (BudgetError, CapacityError) as exc:
-        print(f"table: {exc}", file=sys.stderr)
-        return _EXIT_RESOURCE
+    rows = factors.table_rows(args.max_n, args.budget, args.item_cap)
     out = _open_out(args.output)
     try:
         if args.format == "csv":
@@ -73,15 +71,11 @@ def cmd_entropy(args) -> int:
     for n in range(3, max(args.max_n, 3) + 1):
         print(f"  n = {n:2d}  log|A_n|/f_n = {inflation.log_growth(n):.6f}")
     print("factor-vs-word gap :")
-    try:
-        for n in range(3, min(args.max_n, 9) + 1):
-            a = len(inflation.enumerate_A(n, args.budget))
-            f = len(factors.factor_set_Fn(n, args.budget, args.item_cap))
-            gap = (math.log(f) - math.log(a)) / fib(n)
-            print(f"  n = {n:2d}  gap = {gap:.6f}")
-    except (BudgetError, CapacityError) as exc:
-        print(f"entropy: {exc}", file=sys.stderr)
-        return _EXIT_RESOURCE
+    for n in range(3, min(args.max_n, 9) + 1):
+        a = len(inflation.enumerate_A(n, args.budget))
+        f = len(factors.factor_set_Fn(n, args.budget, args.item_cap))
+        gap = (math.log(f) - math.log(a)) / fib(n)
+        print(f"  n = {n:2d}  gap = {gap:.6f}")
     return 0
 
 
@@ -119,37 +113,29 @@ def cmd_verify(args) -> int:
     wanted = None if args.prop == "all" else set(args.prop.split(","))
     failures = 0
     ran = 0
-    try:
-        for prop, label, thunk in _verify_checks(args.max_n, args.budget, args.item_cap):
-            if wanted is not None and prop not in wanted:
-                continue
-            ran += 1
-            res = thunk()
-            if res.ok:
-                print(f"PASS  {prop:22s} {label}")
-            else:
-                failures += 1
-                print(f"FAIL  {prop:22s} {label}  [{res.witness}]")
-    except (BudgetError, CapacityError) as exc:
-        print(f"verify: {exc}", file=sys.stderr)
-        return _EXIT_RESOURCE
+    for prop, label, thunk in _verify_checks(args.max_n, args.budget, args.item_cap):
+        if wanted is not None and prop not in wanted:
+            continue
+        ran += 1
+        res = thunk()
+        if res.ok:
+            print(f"PASS  {prop:22s} {label}")
+        else:
+            failures += 1
+            print(f"FAIL  {prop:22s} {label}  [{res.witness}]")
     print(f"{ran - failures}/{ran} checks passed")
     return _EXIT_FAIL if failures else 0
 
 
 def cmd_sample(args) -> int:
     rng = PrngHandle(args.seed)
-    try:
-        members = inflation.enumerate_A(args.n, args.budget) if args.check else None
-        for _ in range(args.count):
-            w = inflation.sample_chain(args.n, args.p, rng)
-            if members is not None and w not in members:
-                print(f"sample: {w} not in A_{args.n}", file=sys.stderr)
-                return _EXIT_FAIL
-            print(w)
-    except (BudgetError, CapacityError) as exc:
-        print(f"sample: {exc}", file=sys.stderr)
-        return _EXIT_RESOURCE
+    members = inflation.enumerate_A(args.n, args.budget) if args.check else None
+    for _ in range(args.count):
+        w = inflation.sample_chain(args.n, args.p, rng)
+        if members is not None and w not in members:
+            print(f"sample: {w} not in A_{args.n}", file=sys.stderr)
+            return _EXIT_FAIL
+        print(w)
     return 0
 
 
@@ -171,25 +157,25 @@ def _write_set(ws: WordSet, args) -> int:
 
 
 def cmd_factors(args) -> int:
-    try:
-        ws = factors.factor_set_Fn(args.n, args.budget, args.item_cap)
-    except (BudgetError, CapacityError) as exc:
-        print(f"factors: {exc}", file=sys.stderr)
-        return _EXIT_RESOURCE
-    return _write_set(ws, args)
+    return _write_set(factors.factor_set_Fn(args.n, args.budget, args.item_cap), args)
 
 
 def cmd_export(args) -> int:
-    try:
-        ws = inflation.enumerate_A(args.n, args.budget)
-    except (BudgetError, CapacityError) as exc:
-        print(f"export: {exc}", file=sys.stderr)
-        return _EXIT_RESOURCE
-    return _write_set(ws, args)
+    return _write_set(inflation.enumerate_A(args.n, args.budget), args)
 
 
 def _open_out(path):
     return sys.stdout if path is None else open(path, "w")
+
+
+def _at_least(low: int):
+    """argparse type: an int no smaller than `low`."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is below {low}")
+        return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -197,9 +183,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="rfw",
         description="Inflated random Fibonacci words: enumeration, factor sets, "
                     "entropy, and brute-force verification.")
-    parser.add_argument("--budget", type=int, default=inflation.DEFAULT_BUDGET,
+    parser.add_argument("--budget", type=_at_least(1), default=inflation.DEFAULT_BUDGET,
                         help="max set size any enumeration may reach (default 1e8)")
-    parser.add_argument("--item-cap", type=int, default=inflation.DEFAULT_ITEM_CAP,
+    parser.add_argument("--item-cap", type=_at_least(1), default=inflation.DEFAULT_ITEM_CAP,
                         help="max candidate items a factor construction may project "
                              "(default 2^26; raise for n = 9)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -225,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=int, required=True)
     p.add_argument("-p", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--count", type=_at_least(0), default=1)
     p.add_argument("--check", action="store_true",
                    help="assert each sample is a member of the enumerated set")
     p.set_defaults(func=cmd_sample)
@@ -246,7 +232,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (BudgetError, CapacityError, ValueError, OSError) as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return _EXIT_RESOURCE
 
 
 if __name__ == "__main__":

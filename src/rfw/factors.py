@@ -15,14 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
 from .inflation import (DEFAULT_BUDGET, DEFAULT_ITEM_CAP, ItemCapError,
                         VerifyResult, enumerate_A)
 from .words import Word, fib
-from .wordset import WordSet
+from .wordset import WordSet, _distinct, slice_packed
 
 # Stabilization generation used to define F_n for n <= 3: factor sets of
 # length <= f_3 = 2 are empirically constant from generation 5 on; we use
@@ -87,9 +87,8 @@ def factor_set(s: WordSet, ell: int) -> WordSet:
     """All distinct length-ell factors of the members of s, by sliding window."""
     if not 1 <= ell <= s.length:
         raise IndexError(f"factor length {ell} outside [1, {s.length}]")
-    # Dedup per offset before the union keeps peak memory at one window array.
-    return reduce(WordSet.union, (s.slices(k, k + ell - 1)
-                                  for k in range(1, s.length - ell + 2)))
+    windows = (slice_packed(s.packed, k, k + ell - 1) for k in range(1, s.length - ell + 2))
+    return WordSet.from_packed(ell, _distinct(windows, ell), canonical=True)
 
 
 def _window_plan(n: int) -> list[tuple[int, int, int, int, int, int]]:
@@ -120,7 +119,8 @@ def _factor_set_Fn_cached(n: int, budget: int, item_cap: int) -> WordSet:
         raise ItemCapError(
             f"windowed F_{n} projects {projected} candidates, above item cap {item_cap}"
         )
-    return reduce(WordSet.union, (suf.product(pre) for suf, pre in pieces))
+    products = (suf.product(pre).packed for suf, pre in pieces)
+    return WordSet.from_packed(fib(n), _distinct(products, fib(n)), canonical=True)
 
 
 def factor_set_Fn(n: int, budget: int = DEFAULT_BUDGET,

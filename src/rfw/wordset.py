@@ -4,7 +4,11 @@ A WordSet holds its members as a sorted, deduplicated numpy uint64 array.
 The canonical order is ascending packed value, which is total and
 deterministic, so two runs produce byte-identical exports.  Bulk operations
 (products, slices, unions) work directly on the packed arrays, and every
-deduplication goes through the one sort-based kernel `_dedup`.
+deduplication goes through `_distinct`, which takes one of two paths.  When
+the words have at most `_TABLE_BITS` symbols and the input holds at least one
+byte per value they could take, it marks them in a direct-address table that
+reads off in ascending order; otherwise it sorts them with `_dedup`.  Neither
+path hashes.
 """
 
 from __future__ import annotations
@@ -19,6 +23,12 @@ from .words import WORD_CAPACITY, CapacityError, Word
 # Bit-reversal table for one byte, used by the vectorized word reversal.
 _REV8 = np.array([int(f"{i:08b}"[::-1], 2) for i in range(256)], dtype=np.uint8)
 
+# Widest words `_distinct` marks in a table: 2^24 one-byte flags, 16 MB.
+_TABLE_BITS = 24
+
+# Words rendered per block by `write_text`; a block unpacks to 64 bytes a word.
+_TEXT_BLOCK = 1 << 16
+
 _MAGIC = b"RFW1"
 _FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sBBI")
@@ -27,7 +37,7 @@ _HEADER = struct.Struct("<4sBBI")
 def _dedup(owned: np.ndarray, kind: str = "quicksort") -> np.ndarray:
     """Sort `owned` in place, then keep each entry that differs from its left neighbour.
 
-    The one deduplication kernel behind every WordSet.  It never hashes:
+    The sort behind `_distinct`'s sort path and `union`.  It never hashes:
     numpy >= 2.3 gives `np.unique` a hash table that is 35-90x slower than
     sorting on packed words.  `kind="stable"` suits input made of a few
     sorted runs, which it merges in linear time.
@@ -39,6 +49,54 @@ def _dedup(owned: np.ndarray, kind: str = "quicksort") -> np.ndarray:
     out = owned[keep]
     out.flags.writeable = False
     return out
+
+
+def _distinct(chunks: Iterable[np.ndarray], width: int) -> np.ndarray:
+    """Sorted distinct values of uint64 arrays whose entries are all below 2^width.
+
+    The one deduplication kernel behind every WordSet; it owns the chunks
+    and may sort them in place.  Once `width <= _TABLE_BITS` and the chunks
+    hold at least 2^width bytes, each value is marked in a table of 2^width
+    flags, whose nonzero positions are the answer in ascending order.  With
+    fewer bytes, clearing and scanning the table costs more than sorting
+    them.  Otherwise each chunk is deduplicated by `_dedup`, unless it
+    already strictly increases as a product's members do, and merged into
+    the result so far, so memory holds the result and one chunk.
+    """
+    chunks = iter(chunks)
+    head, size = [], 0
+    if width <= _TABLE_BITS:
+        for chunk in chunks:
+            head.append(chunk)
+            size += chunk.nbytes
+            if size >= 1 << width:
+                break
+    if size >= 1 << width:
+        seen = np.zeros(1 << width, dtype=bool)
+        for part in (head, chunks):
+            for chunk in part:
+                seen[chunk.view(np.int64)] = True  # values below 2^24 index as they are
+        out = np.flatnonzero(seen).astype(np.uint64)
+        out.flags.writeable = False
+        return out
+    out = np.empty(0, dtype=np.uint64)
+    for part in (head, chunks):
+        for chunk in part:
+            if not (chunk[1:] > chunk[:-1]).all():
+                chunk = _dedup(chunk)
+            out = _dedup(np.concatenate([out, chunk]), kind="stable") if len(out) else chunk
+    out.flags.writeable = False
+    return out
+
+
+def _check_length(length: int) -> None:
+    if not 0 <= length <= WORD_CAPACITY:
+        raise CapacityError(f"word length {length} outside [0, {WORD_CAPACITY}]")
+
+
+def _check_fits(packed: np.ndarray, length: int) -> None:
+    if length < WORD_CAPACITY and (packed >> np.uint64(length)).any():
+        raise ValueError(f"a word has bits above its length {length}")
 
 
 def slice_packed(packed: np.ndarray, a: int, b: int) -> np.ndarray:
@@ -63,18 +121,23 @@ class WordSet:
     __slots__ = ("length", "_packed")
 
     def __init__(self, length: int, words: Iterable[Word] = ()) -> None:
+        _check_length(length)
         packed = []
         for w in words:
             if w.length != length:
                 raise ValueError(f"word of length {w.length} in set of length {length}")
             packed.append(w.bits)
         self.length = length
-        self._packed = _dedup(np.array(packed, dtype=np.uint64))
+        self._packed = _distinct([np.array(packed, dtype=np.uint64)], length)
 
     @classmethod
     def from_packed(cls, length: int, packed: np.ndarray, *, canonical: bool = False) -> "WordSet":
-        if not 0 <= length <= WORD_CAPACITY:
-            raise CapacityError(f"word length {length} outside [0, {WORD_CAPACITY}]")
+        """A set of `length`-symbol words from their packed values.
+
+        `canonical=True` trusts `packed` to be strictly increasing words that
+        fit `length`; otherwise they are checked to fit, then deduplicated.
+        """
+        _check_length(length)
         self = cls.__new__(cls)
         self.length = length
         if canonical:
@@ -82,7 +145,9 @@ class WordSet:
             arr.flags.writeable = False
             self._packed = arr
         else:
-            self._packed = _dedup(np.array(packed, dtype=np.uint64))
+            arr = np.array(packed, dtype=np.uint64)
+            _check_fits(arr, length)
+            self._packed = _distinct([arr], length)
         return self
 
     @property
@@ -154,27 +219,57 @@ class WordSet:
             # Convention: the empty slice of a nonempty set is {empty word}.
             n = min(len(self._packed), 1)
             return WordSet.from_packed(0, np.zeros(n, dtype=np.uint64), canonical=True)
-        return WordSet.from_packed(b - a + 1, slice_packed(self._packed, a, b))
+        width = b - a + 1
+        return WordSet.from_packed(width, _distinct([slice_packed(self._packed, a, b)], width),
+                                   canonical=True)
 
     def reverse(self) -> "WordSet":
-        return WordSet.from_packed(self.length, reverse_packed(self._packed, self.length))
+        rev = reverse_packed(self._packed, self.length)
+        return WordSet.from_packed(self.length, _distinct([rev], self.length), canonical=True)
 
     # --- serialization ------------------------------------------------
 
     def write_text(self, fh: IO[str]) -> None:
         """One ASCII word per line, canonical order, trailing newline."""
-        for w in self:
-            fh.write(w.render())
-            fh.write("\n")
+        as_bytes = self._packed.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+        for start in range(0, len(as_bytes), _TEXT_BLOCK):
+            bits = np.unpackbits(as_bytes[start:start + _TEXT_BLOCK], axis=1, bitorder="little")
+            rows = np.full((len(bits), self.length + 1), ord("\n"), dtype=np.uint8)
+            np.add(bits[:, :self.length], ord("0"), out=rows[:, :-1])
+            fh.write(rows.tobytes().decode("ascii"))
 
     @classmethod
     def read_text(cls, fh: IO[str], length: int | None = None) -> "WordSet":
-        words = [Word.parse(line.strip()) for line in fh if line.strip()]
-        if length is None:
-            if not words:
+        """Read one word per line, ignoring blank lines and surrounding whitespace.
+
+        Raises what `Word.parse` raises for the first line it rejects, and
+        ValueError for a word whose length differs from `length` (by default
+        the first word's).
+        """
+        lines = [text for line in fh if (text := line.strip())]
+        if not lines:
+            if length is None:
                 raise ValueError("cannot infer word length from an empty text file")
-            length = words[0].length
-        return cls(length, words)
+            return cls(length)
+        sizes = np.fromiter(map(len, lines), dtype=np.int64, count=len(lines))
+        # Non-ASCII symbols become "?", one per character, so rows keep their sizes.
+        data = np.frombuffer("".join(lines).encode("ascii", "replace"), dtype=np.uint8)
+        bad_char = np.flatnonzero((data != ord("0")) & (data != ord("1")))
+        bad_lines = np.concatenate([
+            np.flatnonzero(sizes > WORD_CAPACITY),
+            np.searchsorted(np.cumsum(sizes), bad_char[:1], side="right")])
+        if len(bad_lines):
+            Word.parse(lines[int(bad_lines.min())])  # raises that line's error
+        if length is None:
+            length = int(sizes[0])
+        wrong = np.flatnonzero(sizes != length)
+        if len(wrong):
+            raise ValueError(f"word of length {sizes[wrong[0]]} in set of length {length}")
+        bits = (data - np.uint8(ord("0"))).reshape(len(lines), length)
+        as_bytes = np.zeros((len(lines), 8), dtype=np.uint8)
+        packed_bytes = np.packbits(bits, axis=1, bitorder="little")
+        as_bytes[:, :packed_bytes.shape[1]] = packed_bytes
+        return cls.from_packed(length, as_bytes.view("<u8").ravel())
 
     def write_binary(self, fh: IO[bytes]) -> None:
         """Magic "RFW1", u8 version, u8 word length, u32 LE count, u64 LE words."""
@@ -198,8 +293,7 @@ class WordSet:
         if fh.read(1):
             raise ValueError(f"trailing bytes after {count} words")
         packed = np.frombuffer(data, dtype="<u8").astype(np.uint64)
-        if length < WORD_CAPACITY and (packed >> np.uint64(length)).any():
-            raise ValueError(f"a word has bits above its length {length}")
+        _check_fits(packed, length)
         if (packed[1:] <= packed[:-1]).any():
             raise ValueError("words are not in strictly increasing order")
         return cls.from_packed(length, packed, canonical=True)

@@ -141,3 +141,33 @@ def test_factors_item_cap(capsys):
     code, _, err = run(capsys, "--item-cap", "10", "factors", "-n", "6")
     assert code == 2
     assert "item cap" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("sample", "-n", "5", "-p", "1.5"),
+    ("factors", "-n", "0"),
+    ("export", "-n", "-1"),
+    ("export", "-n", "3", "-o", "{missing}/a3.txt"),
+])
+def test_bad_values_exit_2_with_one_line(tmp_path, capsys, argv):
+    argv = [a.format(missing=tmp_path / "missing") for a in argv]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith(f"{argv[0]}: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ("sample", "-n", "5", "--count", "-3"),
+    ("--budget", "-5", "table"),
+    ("--budget", "0", "table"),
+    ("--item-cap", "0", "factors", "-n", "4"),
+])
+def test_out_of_range_flags_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "is below" in capsys.readouterr().err
+
+
+def test_sample_count_zero_prints_nothing(capsys):
+    assert run(capsys, "sample", "-n", "5", "--count", "0") == (0, "", "")

@@ -2,9 +2,12 @@ import hashlib
 import io
 import struct
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rfw import WordSet, enumerate_A
+from rfw import CapacityError, Word, WordSet, enumerate_A
 
 
 def test_text_round_trip():
@@ -122,3 +125,77 @@ def test_exports_match_pinned_digests(n, fmt):
         enumerate_A(n).write_text(buf)
         data = buf.getvalue().encode("ascii")
     assert hashlib.sha256(data).hexdigest() == PINNED_EXPORTS[n, fmt]
+
+
+# --- vectorized text IO against the per-Word path it replaced -------------
+
+
+def write_text_reference(ws):
+    return "".join(w.render() + "\n" for w in ws)
+
+
+def read_text_reference(fh, length=None):
+    words = [Word.parse(line.strip()) for line in fh if line.strip()]
+    if length is None:
+        if not words:
+            raise ValueError("cannot infer word length from an empty text file")
+        length = words[0].length
+    return WordSet(length, words)
+
+
+def outcome(read, text, length):
+    try:
+        ws = read(io.StringIO(text), length)
+    except ValueError as exc:  # CapacityError too
+        return type(exc), str(exc)
+    return ws.length, [int(x) for x in ws.packed]
+
+
+@given(st.integers(0, 64).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=30))))
+def test_write_text_matches_per_word_rendering(case):
+    length, values = case
+    ws = WordSet.from_packed(length, np.array(values, dtype=np.uint64))
+    buf = io.StringIO()
+    ws.write_text(buf)
+    assert buf.getvalue() == write_text_reference(ws)
+
+
+PAD = st.sampled_from(["", " ", "\t", "\r", " \x0b", "\u00a0"])
+JUNK = st.text(st.sampled_from("01012 x?\u00e9\t\r"), max_size=70)
+
+
+@st.composite
+def text_files(draw):
+    """Mostly well-formed files of one word length, with blank lines, padding,
+    and now and then a line of another length, of junk or of > 64 symbols."""
+    n = draw(st.integers(1, 66))
+    word = st.text(st.sampled_from("01"), min_size=n, max_size=n)
+    other = st.text(st.sampled_from("01"), min_size=1, max_size=70)
+    odd = st.one_of(st.just(""), other, JUNK)
+    core = st.integers(0, 9).flatmap(lambda roll: odd if roll == 0 else word)
+    lines = draw(st.lists(st.tuples(PAD, core, PAD).map("".join), max_size=12))
+    length = draw(st.one_of(st.none(), st.none(), st.just(min(n, 64)), st.integers(0, 64)))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"])), length
+
+
+@settings(max_examples=300)
+@given(text_files())
+def test_read_text_matches_per_word_parsing(case):
+    text, length = case
+    assert outcome(WordSet.read_text, text, length) == outcome(read_text_reference, text, length)
+
+
+def test_read_text_rejects_impossible_length():
+    for length in (-1, 65):
+        with pytest.raises(CapacityError):
+            WordSet.read_text(io.StringIO(""), length)
+
+
+@pytest.mark.parametrize("text,error", [
+    ("", ValueError), ("\n  \n", ValueError), ("01\n012\n", ValueError),
+    ("0" * 65 + "\n", CapacityError), ("01\n0\u00e9\n", ValueError), ("01\n011\n", ValueError)])
+def test_read_text_rejects(text, error):
+    with pytest.raises(error):
+        WordSet.read_text(io.StringIO(text))
+    assert outcome(WordSet.read_text, text, None) == outcome(read_text_reference, text, None)

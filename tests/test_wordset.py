@@ -8,10 +8,11 @@ import ast
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rfw import WordSet, factor_set
+from rfw import WordSet, enumerate_A, factor_set, wordset
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "rfw"
 
@@ -104,6 +105,113 @@ def test_factor_set(case):
     (ws, oracle), ell = case
     expected = {window(x, k, k + ell - 1) for x in oracle for k in range(1, ws.length - ell + 2)}
     assert members(factor_set(ws, ell)) == sorted(expected)
+
+
+@pytest.mark.parametrize("length,value", [(2, 7), (0, 1), (5, 1 << 5), (63, 1 << 63)])
+def test_from_packed_rejects_bits_above_length(length, value):
+    with pytest.raises(ValueError, match="bits above"):
+        WordSet.from_packed(length, np.array([0, value], dtype=np.uint64))
+
+
+def test_from_packed_accepts_full_width_words():
+    top = np.array([(1 << 64) - 1, 0], dtype=np.uint64)
+    assert members(WordSet.from_packed(64, top)) == [0, (1 << 64) - 1]
+
+
+# --- the table and sort paths of _distinct ------------------------------
+
+
+class TableSpy:
+    """Stands in for numpy inside `wordset`, counting the table read-outs."""
+
+    def __init__(self):
+        self.reads = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def flatnonzero(self, a):
+        self.reads += 1
+        return np.flatnonzero(a)
+
+
+def with_path(fn, *args):
+    """fn(*args), and "table" if that read out a direct-address table, else "sort"."""
+    spy = TableSpy()
+    wordset.np = spy
+    try:
+        out = fn(*args)
+    finally:
+        wordset.np = np
+    return out, "table" if spy.reads else "sort"
+
+
+def distinct_with_path(chunks, width):
+    out, path = with_path(wordset._distinct, chunks, width)
+    assert out.dtype == np.uint64 and not out.flags.writeable
+    return [int(x) for x in out], path
+
+
+def expected_path(items, width):
+    return "table" if width <= wordset._TABLE_BITS and 8 * items >= 1 << width else "sort"
+
+
+def random_chunks(rng, width, items, parts):
+    """`items` values below 2^width with many duplicates and both edge values,
+    split into `parts` chunks at random points; also the Python-set oracle."""
+    top = (1 << width) - 1
+    pool = np.concatenate([[0, top], rng.integers(0, top, max(items // 2, 1), endpoint=True,
+                                                  dtype=np.uint64)]).astype(np.uint64)
+    values = rng.choice(pool, items)
+    cuts = np.sort(rng.integers(0, items, parts - 1, endpoint=True))
+    return [c.copy() for c in np.split(values, cuts)], sorted(set(values.tolist()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 30), st.integers(-3, 3), st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_distinct_matches_set_oracle(width, offset, parts, seed):
+    # Item counts straddle the table threshold 2^width / 8 while that stays
+    # small; above 2^17 values the counts are kept small (sort path).
+    items = max((1 << width) // 8 + offset, 0) if width <= 17 else 200 + offset
+    chunks, oracle = random_chunks(np.random.default_rng(seed), width, items, parts)
+    assert distinct_with_path(chunks, width) == (oracle, expected_path(items, width))
+
+
+@pytest.mark.parametrize("items", [(1 << 19) - 1, 1 << 19])
+def test_distinct_at_the_threshold_of_a_wide_table(items):
+    chunks, oracle = random_chunks(np.random.default_rng(items), 22, items, 3)
+    assert distinct_with_path(chunks, 22) == (oracle, expected_path(items, 22))
+
+
+def test_distinct_empty_input():
+    assert distinct_with_path([], 5) == ([], "sort")
+    assert distinct_with_path([np.empty(0, dtype=np.uint64)], 40) == ([], "sort")
+
+
+@pytest.mark.parametrize("ell", [16, 24, 25, 33])
+def test_factor_set_on_both_sides_of_the_table_cap(ell):
+    # Just enough words for the table where ell allows one.
+    length, offsets = 40, 40 - ell + 1
+    count = (1 << ell) // 8 // offsets + 1 if ell <= 24 else 2000
+    words = np.random.default_rng(ell).integers(0, 1 << length, count, dtype=np.uint64)
+    ws = WordSet.from_packed(length, words)
+    mask = (1 << ell) - 1
+    oracle = {x >> k & mask for x in ws.packed.tolist() for k in range(offsets)}
+    got, path = with_path(factor_set, ws, ell)
+    assert path == expected_path(len(ws) * offsets, ell) == ("table" if ell <= 24 else "sort")
+    assert members(got) == sorted(oracle)
+
+
+@pytest.mark.parametrize("n,ell", [(8, 8), (8, 13), (8, 18), (9, 21)])
+def test_table_windows_of_A_match_the_sort(n, ell):
+    a = enumerate_A(n)
+    windows = [wordset.slice_packed(a.packed, k, k + ell - 1)
+               for k in range(1, a.length - ell + 2)]
+    assert expected_path(sum(map(len, windows)), ell) == "table"
+    by_sort = wordset._dedup(np.concatenate(windows))
+    got, path = distinct_with_path(windows, ell)
+    assert path == "table"
+    assert np.array_equal(np.array(got, dtype=np.uint64), by_sort)
 
 
 # --- guard against hash-based dedup -------------------------------------
