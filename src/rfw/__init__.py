@@ -1,8 +1,8 @@
 """Random Fibonacci words: inflation sets, factor sets, and their entropy."""
 
-from .factors import (FactorReport, SliceSet, build_report, c_stat, factor_set,
-                      factor_set_Fn, fa_next_count, format_c, slice_set,
-                      table_rows, verify_factor_stability, verify_Fn_bound,
+from .factors import (FactorReport, build_report, c_stat, factor_set,
+                      factor_set_Fn, fa_next_count, format_c, table_rows,
+                      verify_factor_stability, verify_Fn_bound,
                       verify_prefix_stability, verify_slice_bound,
                       verify_superset)
 from .inflation import (DEFAULT_BUDGET, DEFAULT_ITEM_CAP, BudgetError,
@@ -15,14 +15,14 @@ from .wordset import WordSet
 
 __all__ = [
     "BudgetError", "CapacityError", "DEFAULT_BUDGET", "DEFAULT_ITEM_CAP",
-    "EMPTY", "FactorReport", "ItemCapError", "PrngHandle", "SliceSet",
-    "VerifyResult", "WORD_CAPACITY", "Word", "WordSet", "build_report",
-    "c_stat", "count_A_explicit", "count_A_long", "count_A_short",
-    "entropy_limit", "enumerate_A", "fa_next_count", "factor_set",
-    "factor_set_Fn", "fib", "format_c", "inflate_step", "log_growth",
-    "sample_chain", "slice_set", "table_rows", "verify_Fn_bound",
-    "verify_factor_stability", "verify_overlap", "verify_palindromic",
-    "verify_prefix_stability", "verify_slice_bound", "verify_superset",
+    "EMPTY", "FactorReport", "ItemCapError", "PrngHandle", "VerifyResult",
+    "WORD_CAPACITY", "Word", "WordSet", "build_report", "c_stat",
+    "count_A_explicit", "count_A_long", "count_A_short", "entropy_limit",
+    "enumerate_A", "fa_next_count", "factor_set", "factor_set_Fn", "fib",
+    "format_c", "inflate_step", "log_growth", "sample_chain", "table_rows",
+    "verify_Fn_bound", "verify_factor_stability", "verify_overlap",
+    "verify_palindromic", "verify_prefix_stability", "verify_slice_bound",
+    "verify_superset",
 ]
 
 __version__ = "0.1.0"

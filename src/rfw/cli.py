@@ -2,9 +2,11 @@
 
 Subcommands: table, entropy, verify, sample, factors, export.  Exit codes:
 0 all good, 1 a verified property failed, 2 resource or configuration
-errors (budget, item cap, capacity, bad flags or values, files that cannot
-be written).  `main` turns each of these errors into exit code 2 and a
-one-line message.
+errors (budget, item cap, capacity, bad flags or values such as an unknown
+verify property or a negative table --max-n, files that cannot be written).
+`main` turns each of these errors into exit code 2 and a one-line message.
+`verify` instead reports a check that hits a limit as a RESOURCE line and
+goes on; it exits 1 if any check failed, else 2 if any hit a limit.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 
 from . import factors, inflation
 from .inflation import BudgetError, PrngHandle
@@ -32,14 +35,21 @@ def _row_cells(r: factors.FactorReport) -> list[str]:
             _blank(r.fa_next_count), "" if r.c is None else factors.format_c(r.c)]
 
 
+@contextmanager
+def _output(path, mode: str = "w"):
+    """stdout when `path` is None, else the file `path` opened in `mode`."""
+    if path is None:
+        yield sys.stdout
+    else:
+        with open(path, mode) as fh:
+            yield fh
+
+
 def cmd_table(args) -> int:
     if args.max_n > 9:
-        print(f"table: max-n {args.max_n} not computable (|A_11| needs 89-symbol words)",
-              file=sys.stderr)
-        return _EXIT_RESOURCE
+        raise ValueError(f"max-n {args.max_n} not computable (|A_11| needs 89-symbol words)")
     rows = factors.table_rows(args.max_n, args.budget, args.item_cap)
-    out = _open_out(args.output)
-    try:
+    with _output(args.output) as out:
         if args.format == "csv":
             out.write("n,f_n,A_n,F_n,F_A_next,c_n\n")
             for r in rows:
@@ -54,16 +64,12 @@ def cmd_table(args) -> int:
             out.write("  ".join(h.rjust(w) for h, w in zip(header, widths)) + "\n")
             for r in rows:
                 out.write("  ".join(c.rjust(w) for c, w in zip(_row_cells(r), widths)) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
 def cmd_entropy(args) -> int:
     if not 1e-12 <= args.tol <= 1e-2:
-        print(f"entropy: tolerance {args.tol} outside [1e-12, 1e-2]", file=sys.stderr)
-        return _EXIT_RESOURCE
+        raise ValueError(f"tolerance {args.tol} outside [1e-12, 1e-2]")
     limit = inflation.entropy_limit(args.tol)
     print(f"entropy limit      : {limit:.6f}")
     print(f"growth rate exp(h) : {math.exp(limit):.6f}")
@@ -111,20 +117,32 @@ def _verify_checks(max_n: int, budget: int, item_cap: int):
 
 def cmd_verify(args) -> int:
     wanted = None if args.prop == "all" else set(args.prop.split(","))
-    failures = 0
-    ran = 0
+    if wanted is not None:
+        # At max_n = 9 every property has at least one check.
+        unknown = wanted - {prop for prop, _, _ in _verify_checks(9, args.budget, args.item_cap)}
+        if unknown:
+            raise ValueError(f"unknown property {', '.join(sorted(unknown))}")
+    failures = limited = ran = 0
     for prop, label, thunk in _verify_checks(args.max_n, args.budget, args.item_cap):
         if wanted is not None and prop not in wanted:
             continue
         ran += 1
-        res = thunk()
+        try:
+            res = thunk()
+        except (BudgetError, CapacityError) as exc:
+            limited += 1
+            print(f"RESOURCE  {prop:22s} {label}  [{exc}]")
+            continue
         if res.ok:
             print(f"PASS  {prop:22s} {label}")
         else:
             failures += 1
             print(f"FAIL  {prop:22s} {label}  [{res.witness}]")
-    print(f"{ran - failures}/{ran} checks passed")
-    return _EXIT_FAIL if failures else 0
+    summary = f"{ran - failures - limited}/{ran} checks passed"
+    print(f"{summary}, {limited} hit a limit" if limited else summary)
+    if failures:
+        return _EXIT_FAIL
+    return _EXIT_RESOURCE if limited else 0
 
 
 def cmd_sample(args) -> int:
@@ -140,19 +158,10 @@ def cmd_sample(args) -> int:
 
 
 def _write_set(ws: WordSet, args) -> int:
-    if args.binary:
-        if args.output is None:
-            print("a binary export needs -o FILE", file=sys.stderr)
-            return _EXIT_RESOURCE
-        with open(args.output, "wb") as fh:
-            ws.write_binary(fh)
-    else:
-        out = _open_out(args.output)
-        try:
-            ws.write_text(out)
-        finally:
-            if out is not sys.stdout:
-                out.close()
+    if args.binary and args.output is None:
+        raise ValueError("a binary export needs -o FILE")
+    with _output(args.output, "wb" if args.binary else "w") as fh:
+        (ws.write_binary if args.binary else ws.write_text)(fh)
     return 0
 
 
@@ -162,10 +171,6 @@ def cmd_factors(args) -> int:
 
 def cmd_export(args) -> int:
     return _write_set(inflation.enumerate_A(args.n, args.budget), args)
-
-
-def _open_out(path):
-    return sys.stdout if path is None else open(path, "w")
 
 
 def _at_least(low: int):
@@ -191,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("table", help="reproduce the numerics table")
-    p.add_argument("--max-n", type=int, default=8)
+    p.add_argument("--max-n", type=_at_least(0), default=8)
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_table)

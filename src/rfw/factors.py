@@ -30,16 +30,6 @@ from .wordset import WordSet, _distinct, slice_packed
 _SMALL_N_SOURCE = 7
 
 
-@dataclass(frozen=True)
-class SliceSet:
-    """Distinct sub-words w[a,b] over all w in A_n."""
-
-    n: int
-    a: int
-    b: int
-    members: WordSet
-
-
 @dataclass
 class FactorReport:
     """One row of the numerics table, blanks encoded as None."""
@@ -50,10 +40,6 @@ class FactorReport:
     f_count: int | None
     fa_next_count: int | None
     c: Fraction | None
-    #: Slack of the 4^{n-2}|A_n| cut bound: bound minus the max cut product.
-    cut_bound_slack: int | None = None
-    #: Slack of the |F_n| <= 2(4^{n-2} f_{n-1} + 1)|A_n| bound.
-    factor_bound_slack: int | None = None
 
     def to_json_dict(self) -> dict:
         c_field = None
@@ -76,11 +62,6 @@ def format_c(c: Fraction) -> str:
         return f"{c.numerator}.0"
     d = Decimal(c.numerator) / Decimal(c.denominator)
     return str(d.quantize(Decimal("0.00001"), rounding=ROUND_HALF_UP))
-
-
-def slice_set(n: int, a: int, b: int, budget: int = DEFAULT_BUDGET) -> SliceSet:
-    """The slice set A_n[a,b]; a = b + 1 yields {empty word}."""
-    return SliceSet(n, a, b, enumerate_A(n, budget).slices(a, b))
 
 
 def factor_set(s: WordSet, ell: int) -> WordSet:
@@ -111,8 +92,8 @@ def _factor_set_Fn_cached(n: int, budget: int, item_cap: int) -> WordSet:
     if n <= 3:
         return factor_set(enumerate_A(_SMALL_N_SOURCE, budget), fib(n))
     plan = _window_plan(n)
-    pieces = [(slice_set(sn, sa, sb, budget).members,
-               slice_set(pn, pa, pb, budget).members)
+    pieces = [(enumerate_A(sn, budget).slices(sa, sb),
+               enumerate_A(pn, budget).slices(pa, pb))
               for sn, sa, sb, pn, pa, pb in plan]
     projected = sum(len(suf) * len(pre) for suf, pre in pieces)
     if projected > item_cap:
@@ -164,12 +145,11 @@ def verify_prefix_stability(n: int, k: int, budget: int = DEFAULT_BUDGET) -> Ver
     if n < 3 or k < 0:
         raise ValueError(f"prefix stability needs n >= 3, k >= 0, got ({n}, {k})")
     f_n, f_nk = fib(n), fib(n + k)
-    prefix_ok = (slice_set(n, 1, f_n - 1, budget).members
-                 == slice_set(n + k, 1, f_n - 1, budget).members)
+    a_n, a_nk = enumerate_A(n, budget), enumerate_A(n + k, budget)
+    prefix_ok = a_n.slices(1, f_n - 1) == a_nk.slices(1, f_n - 1)
     if not prefix_ok:
         return VerifyResult(False, f"prefix sets A_{n}[1,{f_n - 1}] != A_{n + k}[1,{f_n - 1}]")
-    suffix_ok = (slice_set(n, 2, f_n, budget).members
-                 == slice_set(n + k, f_nk - f_n + 2, f_nk, budget).members)
+    suffix_ok = a_n.slices(2, f_n) == a_nk.slices(f_nk - f_n + 2, f_nk)
     if not suffix_ok:
         return VerifyResult(False, f"suffix sets of A_{n} and A_{n + k} differ")
     return VerifyResult(True)
@@ -178,8 +158,8 @@ def verify_prefix_stability(n: int, k: int, budget: int = DEFAULT_BUDGET) -> Ver
 def _superset_rhs(n: int, budget: int) -> WordSet:
     """(A_{n-1}[1, f_{n-1}-1]) {0,1}^2 (A_{n-2}[2, f_{n-2}])."""
     free = WordSet(2, [Word.parse(s) for s in ("00", "01", "10", "11")])
-    left = slice_set(n - 1, 1, fib(n - 1) - 1, budget).members
-    right = slice_set(n - 2, 2, fib(n - 2), budget).members
+    left = enumerate_A(n - 1, budget).slices(1, fib(n - 1) - 1)
+    right = enumerate_A(n - 2, budget).slices(2, fib(n - 2))
     return left.product(free).product(right)
 
 
@@ -269,13 +249,7 @@ def build_report(n: int, budget: int = DEFAULT_BUDGET,
     fa_next = fa_next_count(n, budget, item_cap)
     if n < 3:
         return FactorReport(n, fib(n), a_count, f_count, fa_next, None)
-    c = c_stat(n, budget)
-    max_cut = max(pre * suf for _, pre, suf in _cut_products(n, budget))
-    return FactorReport(
-        n, fib(n), a_count, f_count, fa_next, c,
-        cut_bound_slack=4 ** (n - 2) * a_count - max_cut,
-        factor_bound_slack=2 * (4 ** (n - 2) * fib(n - 1) + 1) * a_count - f_count,
-    )
+    return FactorReport(n, fib(n), a_count, f_count, fa_next, c_stat(n, budget))
 
 
 def table_rows(max_n: int, budget: int = DEFAULT_BUDGET,

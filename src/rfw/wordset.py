@@ -37,10 +37,10 @@ _HEADER = struct.Struct("<4sBBI")
 def _dedup(owned: np.ndarray, kind: str = "quicksort") -> np.ndarray:
     """Sort `owned` in place, then keep each entry that differs from its left neighbour.
 
-    The sort behind `_distinct`'s sort path and `union`.  It never hashes:
-    numpy >= 2.3 gives `np.unique` a hash table that is 35-90x slower than
-    sorting on packed words.  `kind="stable"` suits input made of a few
-    sorted runs, which it merges in linear time.
+    The sort path of `_distinct`, its only caller.  It never hashes: numpy
+    >= 2.3 gives `np.unique` a hash table that is 35-90x slower than sorting
+    on packed words.  `kind="stable"` suits input made of a few sorted runs,
+    which it merges in linear time.
     """
     owned.sort(kind=kind)
     keep = np.empty(len(owned), dtype=bool)
@@ -55,13 +55,14 @@ def _distinct(chunks: Iterable[np.ndarray], width: int) -> np.ndarray:
     """Sorted distinct values of uint64 arrays whose entries are all below 2^width.
 
     The one deduplication kernel behind every WordSet; it owns the chunks
-    and may sort them in place.  Once `width <= _TABLE_BITS` and the chunks
-    hold at least 2^width bytes, each value is marked in a table of 2^width
-    flags, whose nonzero positions are the answer in ascending order.  With
-    fewer bytes, clearing and scanning the table costs more than sorting
-    them.  Otherwise each chunk is deduplicated by `_dedup`, unless it
-    already strictly increases as a product's members do, and merged into
-    the result so far, so memory holds the result and one chunk.
+    and may sort them in place, but only reads those that already strictly
+    increase, such as a set's members.  Once `width <= _TABLE_BITS` and the
+    chunks hold at least 2^width bytes, each value is marked in a table of
+    2^width flags, whose nonzero positions are the answer in ascending
+    order.  With fewer bytes, clearing and scanning the table costs more
+    than sorting them.  Otherwise each chunk is deduplicated by `_dedup`,
+    unless it already strictly increases as a product's members do, and
+    merged into the result so far, so memory holds the result and one chunk.
     """
     chunks = iter(chunks)
     head, size = [], 0
@@ -178,8 +179,8 @@ class WordSet:
     def union(self, other: "WordSet") -> "WordSet":
         if self.length != other.length:
             raise ValueError("union of sets with different word lengths")
-        merged = _dedup(np.concatenate([self._packed, other._packed]), kind="stable")
-        return WordSet.from_packed(self.length, merged, canonical=True)
+        return WordSet.from_packed(self.length, _distinct([self._packed, other._packed],
+                                                          self.length), canonical=True)
 
     def intersection(self, other: "WordSet") -> "WordSet":
         if self.length != other.length:

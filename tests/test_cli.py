@@ -87,6 +87,31 @@ def test_verify_selected_prop(capsys):
     assert "factor-instability-n3" in out
 
 
+def test_verify_reports_limits_and_goes_on(capsys):
+    code, out, err = run(capsys, "--item-cap", "10", "verify", "--max-n", "5",
+                         "--prop", "reversal,factor-bound")
+    assert code == 2 and err == ""
+    lines = out.splitlines()
+    assert [line.split()[0] for line in lines[:-1]] == ["PASS"] * 7 + ["RESOURCE"] * 2
+    assert lines[-2] == ("RESOURCE  factor-bound           n=5  "
+                         "[windowed F_5 projects 96 candidates, above item cap 10]")
+    assert lines[-1] == "7/9 checks passed, 2 hit a limit"
+
+
+def test_verify_exit_code_prefers_fail_to_limit(capsys, monkeypatch):
+    from rfw.inflation import BudgetError, VerifyResult
+
+    def over_budget():
+        raise BudgetError("too big")
+
+    checks = [("cut-bound", "n=3", over_budget),
+              ("overlap", "n=4", lambda: VerifyResult(False, "w"))]
+    monkeypatch.setattr("rfw.cli._verify_checks", lambda *args: iter(checks))
+    code, out, _ = run(capsys, "verify")
+    assert code == 1
+    assert out.splitlines()[-1] == "0/2 checks passed, 1 hit a limit"
+
+
 def test_sample_deterministic(capsys):
     argv = ("sample", "-n", "6", "-p", "0.4", "--seed", "11", "--count", "4")
     _, first, _ = run(capsys, *argv)
@@ -148,6 +173,8 @@ def test_factors_item_cap(capsys):
     ("factors", "-n", "0"),
     ("export", "-n", "-1"),
     ("export", "-n", "3", "-o", "{missing}/a3.txt"),
+    ("verify", "--prop", "bogus"),
+    ("export", "-n", "3", "--binary"),
 ])
 def test_bad_values_exit_2_with_one_line(tmp_path, capsys, argv):
     argv = [a.format(missing=tmp_path / "missing") for a in argv]
@@ -161,6 +188,7 @@ def test_bad_values_exit_2_with_one_line(tmp_path, capsys, argv):
     ("--budget", "-5", "table"),
     ("--budget", "0", "table"),
     ("--item-cap", "0", "factors", "-n", "4"),
+    ("table", "--max-n", "-1"),
 ])
 def test_out_of_range_flags_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from rfw import (Word, WordSet, c_stat, enumerate_A, factor_set,
-                 factor_set_Fn, fa_next_count, fib, format_c, slice_set,
+                 factor_set_Fn, fa_next_count, fib, format_c,
                  verify_factor_stability, verify_Fn_bound,
                  verify_prefix_stability, verify_slice_bound, verify_superset)
 
@@ -19,19 +19,19 @@ def as_strings(ws):
 # --- slice sets -------------------------------------------------------
 
 def test_slice_set_examples():
-    assert as_strings(slice_set(3, 1, 1).members) == ["0", "1"]
-    assert as_strings(slice_set(4, 1, 2).members) == ["01", "10", "11"]
+    assert as_strings(enumerate_A(3).slices(1, 1)) == ["0", "1"]
+    assert as_strings(enumerate_A(4).slices(1, 2)) == ["01", "10", "11"]
 
 
 def test_identity_slice_is_the_set():
     for n in range(1, 8):
-        assert slice_set(n, 1, fib(n)).members == enumerate_A(n)
+        assert enumerate_A(n).slices(1, fib(n)) == enumerate_A(n)
 
 
 def test_empty_slice_is_empty_word_singleton():
-    s = slice_set(4, 2, 1)
-    assert len(s.members) == 1
-    assert list(s.members)[0] == Word.parse("")
+    s = enumerate_A(4).slices(2, 1)
+    assert len(s) == 1
+    assert list(s)[0] == Word.parse("")
 
 
 # --- factor sets ------------------------------------------------------

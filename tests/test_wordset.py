@@ -214,7 +214,20 @@ def test_table_windows_of_A_match_the_sort(n, ell):
     assert np.array_equal(np.array(got, dtype=np.uint64), by_sort)
 
 
-# --- guard against hash-based dedup -------------------------------------
+@pytest.mark.parametrize("width,items,path", [(8, 10, "sort"), (8, 20, "table"),
+                                              (16, 5000, "table"), (30, 500, "sort")])
+def test_union_on_either_path_of_distinct(width, items, path):
+    rng = np.random.default_rng(width * items)
+    a, b = (WordSet.from_packed(width, rng.integers(0, 1 << width, items, dtype=np.uint64))
+            for _ in range(2))
+    before = a.packed.copy(), b.packed.copy()
+    got, took = with_path(a.union, b)
+    assert took == path == expected_path(len(a) + len(b), width)
+    assert members(got) == sorted(set(before[0].tolist()) | set(before[1].tolist()))
+    assert np.array_equal(a.packed, before[0]) and np.array_equal(b.packed, before[1])
+
+
+# --- guards on the dedup kernel -----------------------------------------
 
 # numpy >= 2.3 deduplicates by hashing in these; on packed words that is
 # 35-90x slower than the sort in WordSet's kernel.
@@ -256,4 +269,27 @@ def test_library_never_dedups_by_hashing():
     assert sources
     found = [f"{path.name} {hit}" for path in sources
              for hit in hashing_calls(path.read_text())]
+    assert found == []
+
+
+def dedup_calls_outside_distinct(source):
+    tree = ast.parse(source)
+    inside = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and fn.name == "_distinct"
+              for node in ast.walk(fn)}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and _called_name(node) == "_dedup"
+                  and id(node) not in inside)
+
+
+def test_guard_sees_dedup_calls_outside_distinct():
+    source = ("def _distinct(c):\n    return _dedup(c)\n"
+              "def union(a, b):\n    return _dedup(a + b)\n"
+              "x = wordset._dedup(y)\n")
+    assert dedup_calls_outside_distinct(source) == [4, 5]
+
+
+def test_only_distinct_calls_the_sort():
+    found = [f"{path.name} line {line}" for path in sorted(SRC.glob("*.py"))
+             for line in dedup_calls_outside_distinct(path.read_text())]
     assert found == []
