@@ -8,7 +8,7 @@ from .factors import (FactorReport, build_report, c_stat, factor_set,
 from .inflation import (DEFAULT_BUDGET, DEFAULT_ITEM_CAP, BudgetError,
                         ItemCapError, PrngHandle, VerifyResult, count_A_explicit,
                         count_A_long, count_A_short, entropy_limit, enumerate_A,
-                        inflate_step, log_growth, sample_chain,
+                        inflate_step, log_growth, sample_chain, sample_packed,
                         verify_overlap, verify_palindromic)
 from .words import EMPTY, WORD_CAPACITY, CapacityError, Word, fib
 from .wordset import WordSet
@@ -19,7 +19,8 @@ __all__ = [
     "WORD_CAPACITY", "Word", "WordSet", "build_report", "c_stat",
     "count_A_explicit", "count_A_long", "count_A_short", "entropy_limit",
     "enumerate_A", "fa_next_count", "factor_set", "factor_set_Fn", "fib",
-    "format_c", "inflate_step", "log_growth", "sample_chain", "table_rows",
+    "format_c", "inflate_step", "log_growth", "sample_chain", "sample_packed",
+    "table_rows",
     "verify_Fn_bound", "verify_factor_stability", "verify_overlap",
     "verify_palindromic", "verify_prefix_stability", "verify_slice_bound",
     "verify_superset",

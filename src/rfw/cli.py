@@ -17,13 +17,19 @@ import math
 import sys
 from contextlib import contextmanager
 
+import numpy as np
+
 from . import factors, inflation
 from .inflation import BudgetError, PrngHandle
-from .words import CapacityError, fib
-from .wordset import WordSet
+from .words import CapacityError, Word, fib
+from .wordset import render_packed
 
 _EXIT_FAIL = 1
 _EXIT_RESOURCE = 2
+
+# Chains `sample` draws, checks and prints at a time.  Blocks of 4096 would
+# add about 5 MB to the command's peak memory.
+_SAMPLE_BLOCK = 256
 
 
 def _blank(x) -> str:
@@ -146,31 +152,42 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    inflation.check_chain(args.n, args.p)
     rng = PrngHandle(args.seed)
-    members = inflation.enumerate_A(args.n, args.budget) if args.check else None
-    for _ in range(args.count):
-        w = inflation.sample_chain(args.n, args.p, rng)
-        if members is not None and w not in members:
-            print(f"sample: {w} not in A_{args.n}", file=sys.stderr)
+    members = inflation.enumerate_A(args.n, args.budget).packed if args.check else None
+    for start in range(0, args.count, _SAMPLE_BLOCK):
+        packed = inflation.sample_packed(args.n, args.p, rng,
+                                         min(_SAMPLE_BLOCK, args.count - start))
+        stop = len(packed)
+        if members is not None:
+            at = np.minimum(np.searchsorted(members, packed), len(members) - 1)
+            missing = np.flatnonzero(members[at] != packed)
+            if len(missing):
+                stop = missing[0]
+        sys.stdout.write(render_packed(packed[:stop], fib(args.n)))
+        if stop < len(packed):
+            print(f"sample: {Word(int(packed[stop]), fib(args.n))} not in A_{args.n}",
+                  file=sys.stderr)
             return _EXIT_FAIL
-        print(w)
     return 0
 
 
-def _write_set(ws: WordSet, args) -> int:
+def _write_set(build, args) -> int:
+    """Write the set `build()` returns, once the output flags are known to be usable."""
     if args.binary and args.output is None:
         raise ValueError("a binary export needs -o FILE")
+    ws = build()
     with _output(args.output, "wb" if args.binary else "w") as fh:
         (ws.write_binary if args.binary else ws.write_text)(fh)
     return 0
 
 
 def cmd_factors(args) -> int:
-    return _write_set(factors.factor_set_Fn(args.n, args.budget, args.item_cap), args)
+    return _write_set(lambda: factors.factor_set_Fn(args.n, args.budget, args.item_cap), args)
 
 
 def cmd_export(args) -> int:
-    return _write_set(inflation.enumerate_A(args.n, args.budget), args)
+    return _write_set(lambda: inflation.enumerate_A(args.n, args.budget), args)
 
 
 def _at_least(low: int):

@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .words import CapacityError, Word, fib
-from .wordset import WordSet
+from .wordset import WordSet, pack_rows
 
 DEFAULT_BUDGET = 10**8
 DEFAULT_ITEM_CAP = 1 << 26
@@ -71,6 +71,22 @@ class PrngHandle:
         """True with probability p."""
         return self._rng.random() < p
 
+    def coins(self, p: float, k: int) -> np.ndarray:
+        """The next k coins as a bool array: what k calls of `coin(p)` return.
+
+        `random()` is ((a >> 5) * 2^26 + (b >> 6)) / 2^53 for the generator's
+        next two 32-bit outputs a and b, and `getrandbits` fills its result
+        with those outputs in turn from the least significant 32-bit word up
+        (CPython's Mersenne Twister; the tests compare this with `coin`).  So
+        one call reads the stream k calls of `random()` would, and the same
+        float arithmetic gives the same comparisons.
+        """
+        if k == 0:
+            return np.zeros(0, dtype=bool)
+        words = self._rng.getrandbits(64 * k).to_bytes(8 * k, "little")
+        a, b = np.frombuffer(words, dtype="<u4").reshape(k, 2).T
+        return ((a >> 5) * 67108864.0 + (b >> 6)) * (1.0 / 9007199254740992.0) < p
+
 
 # --- sampler ----------------------------------------------------------
 
@@ -99,16 +115,44 @@ def inflate_step(w: Word, p: float, rng: PrngHandle) -> Word:
     return Word(bits, pos)
 
 
-def sample_chain(n: int, p: float, rng: PrngHandle) -> Word:
-    """The generation-n word r_n reached by n-1 inflation steps from 0."""
+def check_chain(n: int, p: float) -> None:
+    """Reject a generation outside [1, MAX_GENERATION] or a probability outside [0, 1]."""
     if n < 1:
         raise ValueError(f"generation must be >= 1, got {n}")
     if n > MAX_GENERATION:
         raise CapacityError(f"generation {n} has words of {fib(n)} symbols, beyond 64")
-    w = Word.parse("0")
-    for _ in range(n - 1):
-        w = inflate_step(w, p, rng)
-    return w
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"probability {p} outside [0, 1]")
+
+
+def sample_packed(n: int, p: float, rng: PrngHandle, count: int) -> np.ndarray:
+    """Packed words r_n of `count` chains, each n-1 inflation steps from 0.
+
+    Equal to `count` chains of `inflate_step` drawn one after the other from
+    the same handle.  r_m has f_{m-1} ones, so a chain uses f_n - 1 coins:
+    chain k takes coins [k(f_n - 1), (k+1)(f_n - 1)) of the stream, step by
+    step, and within a step one per 1 in position order.  Every symbol emits
+    exactly one 1, a 0 at its output start s and a 1 at s + coin, so a step
+    over all chains is a cumulative sum of symbol widths and one scatter.
+    """
+    check_chain(n, p)
+    f = [fib(m) for m in range(n + 1)]
+    coins = rng.coins(p, count * (f[n] - 1)).reshape(count, f[n] - 1).view(np.uint8)
+    sym = np.zeros((count, 1), dtype=np.uint8)
+    for m in range(1, n):
+        # Step m reads coins [f_m - 1, f_{m+1} - 1) of each chain.
+        late = np.zeros_like(sym)
+        late[sym.view(bool)] = coins[:, f[m] - 1:f[m + 1] - 1].ravel()
+        width = sym + 1
+        start = np.cumsum(width, axis=1, dtype=np.intp) - width
+        sym = np.zeros((count, f[m + 1]), dtype=np.uint8)
+        np.put_along_axis(sym, start + late, 1, axis=1)
+    return pack_rows(sym)
+
+
+def sample_chain(n: int, p: float, rng: PrngHandle) -> Word:
+    """The generation-n word r_n reached by n-1 inflation steps from 0."""
+    return Word(int(sample_packed(n, p, rng, 1)[0]), fib(n))
 
 
 # --- enumeration ------------------------------------------------------

@@ -116,6 +116,26 @@ def reverse_packed(packed: np.ndarray, length: int) -> np.ndarray:
     return rev >> np.uint64(WORD_CAPACITY - length)
 
 
+def pack_rows(bits: np.ndarray) -> np.ndarray:
+    """Packed values of the rows of a 2-D array of 0s and 1s, one word a row.
+
+    Column j holds the symbol at position j + 1; rows hold at most 64.
+    """
+    as_bytes = np.zeros((len(bits), 8), dtype=np.uint8)
+    packed_bytes = np.packbits(bits, axis=1, bitorder="little")
+    as_bytes[:, :packed_bytes.shape[1]] = packed_bytes
+    return as_bytes.view("<u8").ravel()
+
+
+def render_packed(packed: np.ndarray, length: int) -> str:
+    """The ASCII form of `length`-symbol packed words, one a line, each ending in a newline."""
+    as_bytes = np.ascontiguousarray(packed, dtype="<u8").view(np.uint8).reshape(-1, 8)
+    bits = np.unpackbits(as_bytes, axis=1, bitorder="little")
+    rows = np.full((len(bits), length + 1), ord("\n"), dtype=np.uint8)
+    np.add(bits[:, :length], ord("0"), out=rows[:, :-1])
+    return rows.tobytes().decode("ascii")
+
+
 class WordSet:
     """Deduplicated collection of equal-length words in canonical order."""
 
@@ -232,12 +252,8 @@ class WordSet:
 
     def write_text(self, fh: IO[str]) -> None:
         """One ASCII word per line, canonical order, trailing newline."""
-        as_bytes = self._packed.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
-        for start in range(0, len(as_bytes), _TEXT_BLOCK):
-            bits = np.unpackbits(as_bytes[start:start + _TEXT_BLOCK], axis=1, bitorder="little")
-            rows = np.full((len(bits), self.length + 1), ord("\n"), dtype=np.uint8)
-            np.add(bits[:, :self.length], ord("0"), out=rows[:, :-1])
-            fh.write(rows.tobytes().decode("ascii"))
+        for start in range(0, len(self._packed), _TEXT_BLOCK):
+            fh.write(render_packed(self._packed[start:start + _TEXT_BLOCK], self.length))
 
     @classmethod
     def read_text(cls, fh: IO[str], length: int | None = None) -> "WordSet":
@@ -267,10 +283,7 @@ class WordSet:
         if len(wrong):
             raise ValueError(f"word of length {sizes[wrong[0]]} in set of length {length}")
         bits = (data - np.uint8(ord("0"))).reshape(len(lines), length)
-        as_bytes = np.zeros((len(lines), 8), dtype=np.uint8)
-        packed_bytes = np.packbits(bits, axis=1, bitorder="little")
-        as_bytes[:, :packed_bytes.shape[1]] = packed_bytes
-        return cls.from_packed(length, as_bytes.view("<u8").ravel())
+        return cls.from_packed(length, pack_rows(bits))
 
     def write_binary(self, fh: IO[bytes]) -> None:
         """Magic "RFW1", u8 version, u8 word length, u32 LE count, u64 LE words."""

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -139,6 +140,21 @@ def test_sample_capacity_error(capsys):
     assert code == 2
 
 
+# sha256 of the stream the per-symbol sampler printed before the block sampler.
+@pytest.mark.parametrize("argv,digest", [
+    ("-n 10 -p 0.5 --seed 7 --count 5000",
+     "e33184b022a975b7bcff61882e6f9ae102b42b217bc3e35c2ef93a0a89b6a57a"),
+    ("-n 7 -p 0.25 --seed 3 --count 1000",
+     "23540f56d637ab32f92c26387969a17f5b01a80b04d79f33652d0e66203df525"),
+    ("-n 10 -p 0.9 --seed 123456789 --count 20000",
+     "8f6851a90f6bc08409abed23156c1ba6a37af2583de2dca241b27ba4f8189d0a"),
+])
+def test_sample_stream_matches_pinned_digest(capsys, argv, digest):
+    code, out, err = run(capsys, "sample", *argv.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+
 def test_export_text(capsys):
     code, out, _ = run(capsys, "export", "-n", "5")
     assert code == 0
@@ -162,6 +178,17 @@ def test_factors_command(capsys):
     assert len(out.splitlines()) == 7
 
 
+@pytest.mark.parametrize("command,builder", [
+    ("factors", "rfw.factors.factor_set_Fn"), ("export", "rfw.inflation.enumerate_A")])
+def test_binary_without_output_fails_before_building(capsys, monkeypatch, command, builder):
+    def build(*args):
+        raise AssertionError(f"{command} built its set")
+
+    monkeypatch.setattr(builder, build)
+    code, out, err = run(capsys, command, "-n", "9", "--binary")
+    assert (code, out, err) == (2, "", f"{command}: a binary export needs -o FILE\n")
+
+
 def test_factors_item_cap(capsys):
     code, _, err = run(capsys, "--item-cap", "10", "factors", "-n", "6")
     assert code == 2
@@ -175,6 +202,9 @@ def test_factors_item_cap(capsys):
     ("export", "-n", "3", "-o", "{missing}/a3.txt"),
     ("verify", "--prop", "bogus"),
     ("export", "-n", "3", "--binary"),
+    ("sample", "-n", "1", "-p", "1.5"),
+    ("sample", "-n", "11", "--count", "0"),
+    ("sample", "-n", "5", "-p", "1.5", "--count", "0"),
 ])
 def test_bad_values_exit_2_with_one_line(tmp_path, capsys, argv):
     argv = [a.format(missing=tmp_path / "missing") for a in argv]

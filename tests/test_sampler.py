@@ -1,7 +1,11 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rfw import (CapacityError, PrngHandle, Word, enumerate_A, inflate_step,
-                 sample_chain)
+                 inflation, sample_chain, sample_packed)
+from rfw.cli import _SAMPLE_BLOCK, main
 
 
 def test_zero_inflates_to_one():
@@ -71,3 +75,74 @@ def test_coverage_of_A5():
 def test_bad_probability_rejected():
     with pytest.raises(ValueError):
         inflate_step(Word.parse("1"), 1.5, PrngHandle(0))
+
+
+# --- the block sampler against the per-symbol rule ------------------------
+
+
+def chains_by_inflate_step(n, p, rng, count):
+    """`count` chains drawn one after the other, one `inflate_step` per generation."""
+    out = []
+    for _ in range(count):
+        w = Word.parse("0")
+        for _ in range(n - 1):
+            w = inflate_step(w, p, rng)
+        out.append(w.bits)
+    return out
+
+
+PROBABILITY = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+SEED = st.integers(0, (1 << 64) - 1)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+@settings(max_examples=12, deadline=None)
+@given(p=PROBABILITY, seed=SEED,
+       count=st.one_of(st.integers(0, 3), st.integers(0, 2 * _SAMPLE_BLOCK + 3)))
+def test_sample_packed_matches_inflate_step(n, p, seed, count):
+    batch, oracle = PrngHandle(seed), PrngHandle(seed)
+    packed = sample_packed(n, p, batch, count)
+    assert packed.dtype == np.uint64
+    assert packed.tolist() == chains_by_inflate_step(n, p, oracle, count)
+    # The batch read exactly the coins its chains stand for, so the stream goes on.
+    assert [batch.coin(0.5) for _ in range(7)] == [oracle.coin(0.5) for _ in range(7)]
+
+
+@settings(max_examples=200)
+@given(PROBABILITY, SEED, st.integers(0, 300))
+def test_coins_are_the_coin_stream(p, seed, k):
+    batch, oracle = PrngHandle(seed), PrngHandle(seed)
+    coins = batch.coins(p, k)
+    assert coins.dtype == bool
+    assert coins.tolist() == [oracle.coin(p) for _ in range(k)]
+    assert batch.coin(p) == oracle.coin(p)
+
+
+@given(SEED, st.integers(0, 20))
+def test_a_draw_equal_to_p_is_tails(seed, k):
+    # `coin` is `random() < p`, so the draw that equals p must come out False.
+    probe, oracle = PrngHandle(seed), PrngHandle(seed)
+    p = [probe._rng.random() for _ in range(k + 1)][k]
+    coins = PrngHandle(seed).coins(p, k + 1)
+    assert coins.tolist() == [oracle.coin(p) for _ in range(k + 1)]
+    assert not coins[k]
+
+
+@pytest.mark.parametrize("bad", [0, 31])  # 00000 and 11111: below and above all of A_5
+@pytest.mark.parametrize("at", [0, 5, _SAMPLE_BLOCK + 3])
+def test_check_prints_up_to_the_first_non_member(capsys, monkeypatch, at, bad):
+    stream = np.resize(enumerate_A(5).packed, 2 * _SAMPLE_BLOCK)
+    stream[at] = bad
+    drawn = 0
+
+    def stub(n, p, rng, count):
+        nonlocal drawn
+        drawn += count
+        return stream[drawn - count:drawn]
+
+    monkeypatch.setattr(inflation, "sample_packed", stub)
+    code = main(["sample", "-n", "5", "--count", str(len(stream)), "--check"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == "".join(f"{Word(int(x), 5)}\n" for x in stream[:at])
+    assert err == f"sample: {Word(bad, 5)} not in A_5\n"

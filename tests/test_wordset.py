@@ -272,6 +272,41 @@ def test_library_never_dedups_by_hashing():
     assert found == []
 
 
+# `import numpy.random` alone adds about 5.5 MB to a process's peak memory,
+# 20% of `rfw sample`'s; the sampler reads the stdlib Mersenne Twister instead.
+def numpy_random_uses(source):
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            hit = any(a.name.split(".")[:2] == ["numpy", "random"] for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = (node.module or "").split(".")
+            hit = module[:2] == ["numpy", "random"] or (
+                module == ["numpy"] and any(a.name == "random" for a in node.names))
+        elif isinstance(node, ast.Attribute):
+            hit = (node.attr == "random" and isinstance(node.value, ast.Name)
+                   and node.value.id in {"np", "numpy"})
+        else:
+            continue
+        if hit:
+            found.append(node.lineno)
+    return found
+
+
+def test_guard_sees_numpy_random():
+    source = ("import numpy.random\nfrom numpy.random import default_rng\n"
+              "from numpy import random\nx = np.random.default_rng(1)\n"
+              "import numpy.random.mtrand\nimport random\nrandom.Random(1)\n"
+              "self._rng.random()\nfrom numpy import packbits\n")
+    assert sorted(numpy_random_uses(source)) == [1, 2, 3, 4, 5]
+
+
+def test_library_never_uses_numpy_random():
+    found = [f"{path.name} line {line}" for path in sorted(SRC.glob("*.py"))
+             for line in numpy_random_uses(path.read_text())]
+    assert found == []
+
+
 def dedup_calls_outside_distinct(source):
     tree = ast.parse(source)
     inside = {id(node) for fn in ast.walk(tree)
