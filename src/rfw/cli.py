@@ -4,7 +4,8 @@ Subcommands: table, entropy, verify, sample, factors, export.  Exit codes:
 0 all good, 1 a verified property failed, 2 resource or configuration
 errors (budget, item cap, capacity, bad flags or values such as an unknown
 verify property or a negative table --max-n, files that cannot be written).
-`main` turns each of these errors into exit code 2 and a one-line message.
+`main` turns each of these errors into exit code 2 and a one-line message;
+a reader that closes stdout early ends the command quietly with exit code 0.
 `verify` instead reports a check that hits a limit as a RESOURCE line and
 goes on; it exits 1 if any check failed, else 2 if any hit a limit.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from contextlib import contextmanager
 
@@ -22,7 +24,7 @@ import numpy as np
 from . import factors, inflation
 from .inflation import BudgetError, PrngHandle
 from .words import CapacityError, Word, fib
-from .wordset import render_packed
+from .wordset import render_packed, slice_packed
 
 _EXIT_FAIL = 1
 _EXIT_RESOURCE = 2
@@ -151,17 +153,34 @@ def cmd_verify(args) -> int:
     return _EXIT_RESOURCE if limited else 0
 
 
+def _member(words: np.ndarray, n: int, sets: dict) -> np.ndarray:
+    """Which packed words lie in A_n, looked up in sets[n] or else split as
+    A_{n-1}A_{n-2} u A_{n-2}A_{n-1}: a word's first symbols are its low bits.
+    """
+    if n in sets:
+        a = sets[n].packed
+        return a[np.minimum(np.searchsorted(a, words), len(a) - 1)] == words
+
+    def split(first: int, second: int) -> np.ndarray:
+        cut = fib(first)
+        return (_member(slice_packed(words, 1, cut), first, sets)
+                & _member(words >> np.uint64(cut), second, sets))
+
+    return split(n - 1, n - 2) | split(n - 2, n - 1)
+
+
 def cmd_sample(args) -> int:
     inflation.check_chain(args.n, args.p)
     rng = PrngHandle(args.seed)
-    members = inflation.enumerate_A(args.n, args.budget).packed if args.check else None
+    # A_10 is too large to build; its words are checked against A_9 and A_8.
+    lookup = (args.n - 1, args.n - 2) if args.n == inflation.MAX_GENERATION else (args.n,)
+    sets = {m: inflation.enumerate_A(m, args.budget) for m in lookup} if args.check else None
     for start in range(0, args.count, _SAMPLE_BLOCK):
         packed = inflation.sample_packed(args.n, args.p, rng,
                                          min(_SAMPLE_BLOCK, args.count - start))
         stop = len(packed)
-        if members is not None:
-            at = np.minimum(np.searchsorted(members, packed), len(members) - 1)
-            missing = np.flatnonzero(members[at] != packed)
+        if sets is not None:
+            missing = np.flatnonzero(~_member(packed, args.n, sets))
             if len(missing):
                 stop = missing[0]
         sys.stdout.write(render_packed(packed[:stop], fib(args.n)))
@@ -255,7 +274,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe then fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader has gone (`| head`): end quietly, as Unix tools do.  Python
+        # flushes stdout again at exit, so point it at devnull first.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (BudgetError, CapacityError, ValueError, OSError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return _EXIT_RESOURCE

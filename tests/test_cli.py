@@ -1,9 +1,18 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rfw.cli import main
+import rfw
+from rfw import PrngHandle, Word, enumerate_A, inflation, sample_packed
+from rfw.cli import _SAMPLE_BLOCK, _member, main
 
 TABLE_CSV = """n,f_n,A_n,F_n,F_A_next,c_n
 0,0,0,,,
@@ -229,3 +238,60 @@ def test_out_of_range_flags_are_usage_errors(capsys, argv):
 
 def test_sample_count_zero_prints_nothing(capsys):
     assert run(capsys, "sample", "-n", "5", "--count", "0") == (0, "", "")
+
+
+# --- sample --check at n = 10, through A_9 and A_8 -------------------------
+
+
+def test_sample_check_at_n10_passes_and_prints_the_same_stream(capsys):
+    argv = ("sample", "-n", "10", "-p", "0.9", "--seed", "123456789", "--count", "20000")
+    code, out, err = run(capsys, *argv, "--check")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == (
+        "8f6851a90f6bc08409abed23156c1ba6a37af2583de2dca241b27ba4f8189d0a")
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(0, (1 << 34) - 1), max_size=50),
+       st.lists(st.integers(0, 3317760 - 1), max_size=50))
+def test_split_membership_equals_direct_lookup(others, picks):
+    a9 = enumerate_A(9)
+    words = np.concatenate([np.array(others, dtype=np.uint64), a9.packed[picks]])
+    split = _member(words, 9, {8: enumerate_A(8), 7: enumerate_A(7)})
+    direct = _member(words, 9, {9: a9})
+    assert split.tolist() == direct.tolist()
+    assert direct.tolist() == [Word(int(w), 34) in a9 for w in words]
+
+
+@pytest.mark.parametrize("bad", [0, (1 << 55) - 1], ids=["zeros", "ones"])
+@pytest.mark.parametrize("at", [0, _SAMPLE_BLOCK + 3])
+def test_check_at_n10_prints_up_to_the_first_non_member(capsys, monkeypatch, at, bad):
+    stream = sample_packed(10, 0.5, PrngHandle(8), 2 * _SAMPLE_BLOCK)
+    stream[at] = bad
+    drawn = 0
+
+    def stub(n, p, rng, count):
+        nonlocal drawn
+        drawn += count
+        return stream[drawn - count:drawn]
+
+    monkeypatch.setattr(inflation, "sample_packed", stub)
+    code, out, err = run(capsys, "sample", "-n", "10", "--count", str(len(stream)), "--check")
+    assert code == 1
+    assert out == "".join(f"{Word(int(x), 55)}\n" for x in stream[:at])
+    assert err == f"sample: {Word(bad, 55)} not in A_10\n"
+
+
+def test_closed_stdout_ends_quietly():
+    # `rfw sample ... | head -1`: the reader closes the pipe after one line.
+    env = {**os.environ, "PYTHONPATH": str(Path(rfw.__file__).parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "rfw.cli", "sample", "-n", "10", "--count", "20000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert len(proc.stdout.readline()) == 56
+    proc.stdout.close()
+    try:
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert (proc.returncode, err) == (0, b"")

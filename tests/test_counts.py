@@ -1,7 +1,13 @@
+import functools
+import sys
+import threading
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rfw import (count_A_explicit, count_A_long, count_A_short, enumerate_A,
-                 fib)
+                 fib, inflation)
 
 TABLE_COUNTS = {0: 0, 1: 1, 2: 1, 3: 2, 4: 3, 5: 8, 6: 30, 7: 288,
                 8: 10080, 9: 3317760}
@@ -58,3 +64,99 @@ def test_negative_n_rejected():
     for f in (count_A_long, count_A_short, count_A_explicit):
         with pytest.raises(ValueError):
             f(-1)
+
+
+# --- the memoized formulas against the literal loops ----------------------
+
+
+def long_loop(n):
+    counts = [0, 1, 1]
+    for m in range(3, n + 1):
+        counts.append(2 * counts[m - 1] * counts[m - 2]
+                      - counts[m - 2] ** 2 * counts[m - 3])
+    return counts[n]
+
+
+def short_loop(n):
+    counts = [0, 1, 1]
+    for m in range(3, n + 1):
+        q, r = divmod((m - 1) * counts[m - 1] * counts[m - 2], m - 2)
+        assert r == 0
+        counts.append(q)
+    return counts[n]
+
+
+def explicit_loop(n):
+    if n <= 2:
+        return (0, 1, 1)[n]
+    out = n - 1
+    for i in range(2, n):
+        out *= (n - i) ** fib(i - 2)
+    return out
+
+
+TOP = 30
+ORACLES = {count_A_long: long_loop, count_A_short: short_loop,
+           count_A_explicit: explicit_loop}
+
+
+@functools.cache
+def oracle(route, n):
+    return ORACLES[route](n)
+
+
+def clear_caches():
+    for cached in (inflation._long, inflation._short, inflation._explicit):
+        cached.cache_clear()
+
+
+ORDERS = st.one_of(st.permutations(range(TOP + 1)),
+                   st.lists(st.integers(0, TOP), min_size=1, max_size=40))
+
+
+@settings(max_examples=15, deadline=None)
+@given(ORDERS)
+@example(list(range(TOP, -1, -1)))
+@example([TOP, TOP, 3, TOP, 0, 0, TOP - 1])
+def test_memoized_formulas_match_the_loops_in_any_call_order(order):
+    clear_caches()
+    for n in order:
+        for route in ORACLES:
+            assert route(n) == oracle(route, n), (route.__name__, n)
+
+
+def test_negative_n_leaves_the_caches_usable():
+    clear_caches()
+    for route in ORACLES:
+        with pytest.raises(ValueError):
+            route(-1)
+        assert route(12) == oracle(route, 12)
+        with pytest.raises(ValueError):
+            route(-1)
+        assert route(20) == oracle(route, 20)
+        assert route(12) == oracle(route, 12)
+
+
+def test_threads_asking_for_different_n_get_the_loop_values():
+    clear_caches()
+    wanted = [TOP, TOP - 3, TOP - 1, TOP - 6]  # more threads than cores
+    barrier = threading.Barrier(len(wanted))
+    results = {}
+
+    def worker(n):
+        barrier.wait(timeout=30)
+        results[n] = [route(n) for route in ORACLES]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(n,)) for n in wanted]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    for n in wanted:
+        assert results[n] == [oracle(route, n) for route in ORACLES]

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rfw import (CapacityError, PrngHandle, Word, enumerate_A, inflate_step,
-                 inflation, sample_chain, sample_packed)
+from rfw import (CapacityError, PrngHandle, Word, enumerate_A, fib,
+                 inflate_step, inflation, sample_chain, sample_packed)
 from rfw.cli import _SAMPLE_BLOCK, main
 
 
@@ -146,3 +146,14 @@ def test_check_prints_up_to_the_first_non_member(capsys, monkeypatch, at, bad):
     assert code == 1
     assert out == "".join(f"{Word(int(x), 5)}\n" for x in stream[:at])
     assert err == f"sample: {Word(bad, 5)} not in A_5\n"
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+@settings(max_examples=25, deadline=None)
+@given(p=PROBABILITY, seed=SEED)
+def test_sample_chain_is_one_chain_of_sample_packed(n, p, seed):
+    single, batch = PrngHandle(seed), PrngHandle(seed)
+    for _ in range(3):
+        w = sample_chain(n, p, single)
+        assert (w.bits, w.length) == (int(sample_packed(n, p, batch, 1)[0]), fib(n))
+    assert single.coin(0.5) == batch.coin(0.5)
