@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .inflation import (DEFAULT_BUDGET, DEFAULT_ITEM_CAP, ItemCapError,
-                        VerifyResult, enumerate_A)
+                        VerifyResult, check_capacity, enumerate_A)
 from .words import Word, fib
 from .wordset import WordSet, _distinct, slice_packed
 
@@ -111,10 +111,12 @@ def factor_set_Fn(n: int, budget: int = DEFAULT_BUDGET,
     For n >= 4 this is the windowed construction over A_n and A_{n-1}
     described in the module docstring (A_{n+1} is never materialized).
     For n <= 3 factor stability does not apply and F_n is read off the
-    generation-7 factors instead.
+    generation-7 factors instead.  A generation beyond MAX_GENERATION is
+    rejected before its window plan, of 2 (f_{n-1} + 1) entries, is built.
     """
     if n < 1:
         raise ValueError(f"F_n needs n >= 1, got {n}")
+    check_capacity(n)
     return _factor_set_Fn_cached(n, budget, item_cap)
 
 

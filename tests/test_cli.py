@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import rfw
@@ -207,6 +207,8 @@ def test_factors_item_cap(capsys):
 @pytest.mark.parametrize("argv", [
     ("sample", "-n", "5", "-p", "1.5"),
     ("factors", "-n", "0"),
+    ("factors", "-n", "40"),
+    ("factors", "-n", "100"),
     ("export", "-n", "-1"),
     ("export", "-n", "3", "-o", "{missing}/a3.txt"),
     ("verify", "--prop", "bogus"),
@@ -295,3 +297,78 @@ def test_closed_stdout_ends_quietly():
     finally:
         proc.kill()
     assert (proc.returncode, err) == (0, b"")
+
+
+# --- argv fuzz: every command line ends in exit 0, 1 or 2 ------------------
+
+PROPS = ["reversal", "prefix-stability", "superset", "superset-reversed",
+         "factor-stability", "factor-instability-n3", "overlap", "cut-bound",
+         "factor-bound", "bogus"]
+
+
+def sometimes_junk(values, junk):
+    """Flag values as text, one in ten of them a token the flag must reject."""
+    return st.integers(0, 9).flatmap(
+        lambda k: st.sampled_from(junk) if k == 0 else values.map(str))
+
+
+def ints(low, high):
+    return sometimes_junk(st.integers(low, high), ["x", "", "1.5"])
+
+
+def floats(low, high):
+    return sometimes_junk(st.floats(low, high), ["nan", "inf", "x"])
+
+
+@st.composite
+def argvs(draw, out_dir):
+    # A small budget (at most |A_8| = 10080) stops every n >= 9 before any
+    # work, so it can go with the whole range of n; the default budget
+    # admits A_9, whose scans and exports take seconds, so n stays <= 7.
+    # Neither cap admits F_9, which needs --item-cap >= 2^29.
+    argv = []
+    budget = draw(st.none() | st.integers(1, 10_080))
+    if budget is not None:
+        argv += ["--budget", str(budget)]
+    if draw(st.booleans()):
+        argv += ["--item-cap", draw(ints(0, 10_000))]
+    n = ints(-3, 12 if budget is not None else 7)
+    command = draw(st.sampled_from(["table", "entropy", "verify", "sample", "factors",
+                                    "export"]))
+    argv.append(command)
+    flags = {
+        "table": {"--max-n": n, "--format": st.sampled_from(["text", "csv", "json", "xml"])},
+        "entropy": {"--max-n": n, "--tol": floats(1e-16, 1.0)},
+        "verify": {"--max-n": n,
+                   "--prop": st.one_of(st.just("all"), st.lists(
+                       st.sampled_from(PROPS), min_size=1, max_size=3).map(",".join))},
+        "sample": {"-n": n, "-p": floats(-0.25, 1.25), "--seed": ints(-5, 2**70),
+                   "--count": ints(-1, 50)},
+        "factors": {"-n": n},
+        "export": {"-n": n},
+    }[command]
+    for flag, values in flags.items():
+        if flag == "-n" or draw(st.booleans()):
+            argv += [flag, draw(values)]
+    if command in ("table", "factors", "export") and draw(st.booleans()):
+        argv += ["-o", str(draw(st.sampled_from(
+            [out_dir / "out", out_dir / "missing" / "out", out_dir])))]
+    if command in ("factors", "export") and draw(st.booleans()):
+        argv.append("--binary")
+    if command == "sample" and draw(st.booleans()):
+        argv.append("--check")
+    return argv
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_every_argv_exits_0_1_or_2_without_a_traceback(tmp_path, capsys, data):
+    argv = data.draw(argvs(tmp_path))
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err, argv

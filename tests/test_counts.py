@@ -160,3 +160,63 @@ def test_threads_asking_for_different_n_get_the_loop_values():
     assert not any(t.is_alive() for t in threads)
     for n in wanted:
         assert results[n] == [oracle(route, n) for route in ORACLES]
+
+
+# --- the (odd, e) layout: value = odd << e ---------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 50_000).flatmap(lambda bits: st.integers(0, (1 << bits) - 1)),
+       st.integers(0, 50_000))
+@example(0, 0)
+@example(0, 77)
+@example(1, 99_999)
+@example((1 << 100_000) - 1, 0)
+def test_split_is_the_odd_part_and_the_power_of_two(y, shift):
+    x = y << shift
+    odd, e = inflation._split(x)
+    assert x == odd << e
+    if x == 0:
+        assert (odd, e) == (0, 0)
+    else:
+        assert odd & 1
+        digits = bin(x)
+        assert e == len(digits) - len(digits.rstrip("0"))
+
+
+def test_cached_terms_are_odd_parts_with_nonnegative_exponents():
+    clear_caches()
+    count_A_long(TOP)
+    count_A_short(TOP)
+    for step in (inflation._long, inflation._short):
+        assert step.cache_info().currsize == TOP + 1
+        assert step(0) == (0, 0)
+        for m in range(1, TOP + 1):
+            odd, e = step(m)
+            assert odd & 1 and e >= 0, (step.__name__, m)
+            assert odd << e == oracle(count_A_long, m)
+
+
+@pytest.mark.parametrize("n,tamper", [
+    # The odd part of c_24 off by 2: 23 no longer divides the numerator at n = 25.
+    (25, {24: lambda odd, e: (odd + 2, e)}),
+    # c_24 and c_25 without their twos: n = 26 divides by 24 = 3 * 2^3.
+    (26, {24: lambda odd, e: (odd, 0), 25: lambda odd, e: (odd, 0)}),
+])
+def test_inexact_short_division_raises_arithmetic_error_naming_n(monkeypatch, n, tamper):
+    # The numerator has more than 4300 decimal digits from n = 23 on, too
+    # many for Python's int-to-str limit, so the message must not print it.
+    clear_caches()
+    real = inflation._short
+
+    def stub(m):
+        odd, e = real(m)
+        return tamper[m](odd, e) if m in tamper else (odd, e)
+
+    monkeypatch.setattr(inflation, "_short", stub)
+    try:
+        with pytest.raises(ArithmeticError, match=f"inexact division at n = {n}: ") as exc:
+            count_A_short(n)
+    finally:
+        real.cache_clear()  # its terms above the tampered ones are wrong
+    assert len(str(exc.value)) < 100
