@@ -2,8 +2,8 @@
 
 Subcommands: table, entropy, verify, sample, factors, export.  Exit codes:
 0 all good, 1 a verified property failed, 2 resource or configuration
-errors (budget, item cap, capacity, bad flags or values such as an unknown
-verify property or a negative table --max-n, files that cannot be written).
+errors (budget, item cap, capacity, memory, bad flags or values such as an
+unknown verify property or a negative --max-n, files that cannot be written).
 `main` turns each of these errors into exit code 2 and a one-line message;
 a reader that closes stdout early ends the command quietly with exit code 0.
 `verify` instead reports a check that hits a limit as a RESOURCE line and
@@ -22,9 +22,9 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import factors, inflation
-from .inflation import BudgetError, PrngHandle
+from .inflation import MAX_ENUMERATED, BudgetError, PrngHandle
 from .words import CapacityError, Word, fib
-from .wordset import render_packed, slice_packed
+from .wordset import render_packed
 
 _EXIT_FAIL = 1
 _EXIT_RESOURCE = 2
@@ -54,7 +54,7 @@ def _output(path, mode: str = "w"):
 
 
 def cmd_table(args) -> int:
-    if args.max_n > 9:
+    if args.max_n > MAX_ENUMERATED:
         raise ValueError(f"max-n {args.max_n} not computable (|A_11| needs 89-symbol words)")
     rows = factors.table_rows(args.max_n, args.budget, args.item_cap)
     with _output(args.output) as out:
@@ -85,7 +85,7 @@ def cmd_entropy(args) -> int:
     for n in range(3, max(args.max_n, 3) + 1):
         print(f"  n = {n:2d}  log|A_n|/f_n = {inflation.log_growth(n):.6f}")
     print("factor-vs-word gap :")
-    for n in range(3, min(args.max_n, 9) + 1):
+    for n in range(3, min(args.max_n, MAX_ENUMERATED) + 1):
         a = len(inflation.enumerate_A(n, args.budget))
         f = len(factors.factor_set_Fn(n, args.budget, args.item_cap))
         gap = (math.log(f) - math.log(a)) / fib(n)
@@ -95,7 +95,7 @@ def cmd_entropy(args) -> int:
 
 def _verify_checks(max_n: int, budget: int, item_cap: int):
     """Yield (property, label, thunk) for every check in scope."""
-    top = min(max_n + 1, 9)  # largest generation enumerated by the suite
+    top = min(max_n + 1, MAX_ENUMERATED)  # largest generation enumerated by the suite
     for n in range(1, top + 1):
         yield "reversal", f"n={n}", lambda n=n: inflation.verify_palindromic(n, budget)
     for n in range(3, top):
@@ -126,8 +126,9 @@ def _verify_checks(max_n: int, budget: int, item_cap: int):
 def cmd_verify(args) -> int:
     wanted = None if args.prop == "all" else set(args.prop.split(","))
     if wanted is not None:
-        # At max_n = 9 every property has at least one check.
-        unknown = wanted - {prop for prop, _, _ in _verify_checks(9, args.budget, args.item_cap)}
+        # At max_n = MAX_ENUMERATED every property has at least one check.
+        unknown = wanted - {prop for prop, _, _ in
+                            _verify_checks(MAX_ENUMERATED, args.budget, args.item_cap)}
         if unknown:
             raise ValueError(f"unknown property {', '.join(sorted(unknown))}")
     failures = limited = ran = 0
@@ -137,9 +138,9 @@ def cmd_verify(args) -> int:
         ran += 1
         try:
             res = thunk()
-        except (BudgetError, CapacityError) as exc:
+        except (BudgetError, CapacityError, MemoryError) as exc:
             limited += 1
-            print(f"RESOURCE  {prop:22s} {label}  [{exc}]")
+            print(f"RESOURCE  {prop:22s} {label}  [{str(exc) or type(exc).__name__}]")
             continue
         if res.ok:
             print(f"PASS  {prop:22s} {label}")
@@ -153,34 +154,16 @@ def cmd_verify(args) -> int:
     return _EXIT_RESOURCE if limited else 0
 
 
-def _member(words: np.ndarray, n: int, sets: dict) -> np.ndarray:
-    """Which packed words lie in A_n, looked up in sets[n] or else split as
-    A_{n-1}A_{n-2} u A_{n-2}A_{n-1}: a word's first symbols are its low bits.
-    """
-    if n in sets:
-        a = sets[n].packed
-        return a[np.minimum(np.searchsorted(a, words), len(a) - 1)] == words
-
-    def split(first: int, second: int) -> np.ndarray:
-        cut = fib(first)
-        return (_member(slice_packed(words, 1, cut), first, sets)
-                & _member(words >> np.uint64(cut), second, sets))
-
-    return split(n - 1, n - 2) | split(n - 2, n - 1)
-
-
 def cmd_sample(args) -> int:
     inflation.check_chain(args.n, args.p)
     rng = PrngHandle(args.seed)
-    # A_10 is too large to build; its words are checked against A_9 and A_8.
-    lookup = (args.n - 1, args.n - 2) if args.n == inflation.MAX_GENERATION else (args.n,)
-    sets = {m: inflation.enumerate_A(m, args.budget) for m in lookup} if args.check else None
+    member = inflation.membership(args.n, args.budget) if args.check else None
     for start in range(0, args.count, _SAMPLE_BLOCK):
         packed = inflation.sample_packed(args.n, args.p, rng,
                                          min(_SAMPLE_BLOCK, args.count - start))
         stop = len(packed)
-        if sets is not None:
-            missing = np.flatnonzero(~_member(packed, args.n, sets))
+        if member is not None:
+            missing = np.flatnonzero(~member(packed))
             if len(missing):
                 stop = missing[0]
         sys.stdout.write(render_packed(packed[:stop], fib(args.n)))
@@ -239,13 +222,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("entropy", help="entropy limit and gap sequences")
     p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-n", type=int, default=8)
+    p.add_argument("--max-n", type=_at_least(0), default=8)
     p.set_defaults(func=cmd_entropy)
 
     p = sub.add_parser("verify", help="brute-force the proved propositions")
     p.add_argument("--prop", default="all",
                    help="comma-separated property names, or 'all'")
-    p.add_argument("--max-n", type=int, default=8)
+    p.add_argument("--max-n", type=_at_least(0), default=8)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sample", help="sample random inflation chains")
@@ -282,8 +265,8 @@ def main(argv: list[str] | None = None) -> int:
         # flushes stdout again at exit, so point it at devnull first.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except (BudgetError, CapacityError, ValueError, OSError) as exc:
-        print(f"{args.command}: {exc}", file=sys.stderr)
+    except (BudgetError, CapacityError, MemoryError, ValueError, OSError) as exc:
+        print(f"{args.command}: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return _EXIT_RESOURCE
 
 

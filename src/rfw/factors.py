@@ -2,10 +2,11 @@
 
 F_n is the set of length-f_n factors of the infinite inflation limit; for
 n >= 4 it equals F(A_{n+1}, f_n) and can be built *without* materializing
-A_{n+1}: every window of a concatenation uv decomposes into a suffix of u
-and a prefix of v, and because the defining products are full Cartesian
-products the window set is exactly (suffix-slice set) x (prefix-slice
-set), unioned over both concatenation orders and all offsets.  That is
+A_{n+1}: A_{n+1} is the union of the products uv of its two halves, and
+the window of uv at offset k is u[k, |u|] v[1, k-1+f_n-|u|], a suffix of u
+followed by a prefix of v, for k = 1..f_{n-1}+1.  Because the products are
+full Cartesian products the window set is exactly (suffix-slice set) x
+(prefix-slice set), unioned over both halves and all offsets.  That is
 what lets the n = 9 row of the numerics table be computed although
 |A_10| ~ 3.8e10.
 """
@@ -19,8 +20,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .inflation import (DEFAULT_BUDGET, DEFAULT_ITEM_CAP, ItemCapError,
-                        VerifyResult, check_capacity, enumerate_A)
+from .inflation import (DEFAULT_BUDGET, DEFAULT_ITEM_CAP, MAX_ENUMERATED,
+                        ItemCapError, VerifyResult, check_capacity, enumerate_A,
+                        halves)
 from .words import Word, fib
 from .wordset import WordSet, _distinct, slice_packed
 
@@ -72,47 +74,33 @@ def factor_set(s: WordSet, ell: int) -> WordSet:
     return WordSet.from_packed(ell, _distinct(windows, ell), canonical=True)
 
 
-def _window_plan(n: int) -> list[tuple[int, int, int, int, int, int]]:
-    """Suffix/prefix slice coordinates for every (order, offset) chunk of F_n.
-
-    Windows of length f_n in A_n A_{n-1} at offset k cover positions
-    [k, k-1+f_n], i.e. the suffix A_n[k, f_n] followed by the prefix
-    A_{n-1}[1, k-1]; in A_{n-1} A_n they cover A_{n-1}[k, f_{n-1}] followed
-    by A_n[1, k-1+f_{n-2}].  Offsets run over [1, f_{n-1} + 1] in both.
-    """
-    plan = []
-    for k in range(1, fib(n - 1) + 2):
-        plan.append((n, k, fib(n), n - 1, 1, k - 1))
-        plan.append((n - 1, k, fib(n - 1), n, 1, k - 1 + fib(n - 2)))
-    return plan
-
-
 @lru_cache(maxsize=16)
 def _factor_set_Fn_cached(n: int, budget: int, item_cap: int) -> WordSet:
+    f = fib(n)
     if n <= 3:
-        return factor_set(enumerate_A(_SMALL_N_SOURCE, budget), fib(n))
-    plan = _window_plan(n)
-    pieces = [(enumerate_A(sn, budget).slices(sa, sb),
-               enumerate_A(pn, budget).slices(pa, pb))
-              for sn, sa, sb, pn, pa, pb in plan]
+        return factor_set(enumerate_A(_SMALL_N_SOURCE, budget), f)
+    orders = halves(n + 1, budget)
+    pieces = [(u.slices(k, u.length), v.slices(1, k - 1 + f - u.length))
+              for k in range(1, fib(n - 1) + 2) for u, v in orders]
     projected = sum(len(suf) * len(pre) for suf, pre in pieces)
     if projected > item_cap:
         raise ItemCapError(
             f"windowed F_{n} projects {projected} candidates, above item cap {item_cap}"
         )
     products = (suf.product(pre).packed for suf, pre in pieces)
-    return WordSet.from_packed(fib(n), _distinct(products, fib(n)), canonical=True)
+    return WordSet.from_packed(f, _distinct(products, f), canonical=True)
 
 
 def factor_set_Fn(n: int, budget: int = DEFAULT_BUDGET,
                   item_cap: int = DEFAULT_ITEM_CAP) -> WordSet:
     """The factor set F_n.
 
-    For n >= 4 this is the windowed construction over A_n and A_{n-1}
-    described in the module docstring (A_{n+1} is never materialized).
-    For n <= 3 factor stability does not apply and F_n is read off the
-    generation-7 factors instead.  A generation beyond MAX_GENERATION is
-    rejected before its window plan, of 2 (f_{n-1} + 1) entries, is built.
+    For n >= 4 this is the union over both `halves(n + 1)` (u, v) and
+    k = 1..f_{n-1}+1 of the windows u[k, |u|] v[1, k-1+f_n-|u|], as the
+    module docstring describes (A_{n+1} is never materialized).  For n <= 3
+    factor stability does not apply and F_n is read off the generation-7
+    factors instead.  A generation beyond MAX_GENERATION is rejected before
+    any of its 2 (f_{n-1} + 1) windows is listed.
     """
     if n < 1:
         raise ValueError(f"F_n needs n >= 1, got {n}")
@@ -160,9 +148,8 @@ def verify_prefix_stability(n: int, k: int, budget: int = DEFAULT_BUDGET) -> Ver
 def _superset_rhs(n: int, budget: int) -> WordSet:
     """(A_{n-1}[1, f_{n-1}-1]) {0,1}^2 (A_{n-2}[2, f_{n-2}])."""
     free = WordSet(2, [Word.parse(s) for s in ("00", "01", "10", "11")])
-    left = enumerate_A(n - 1, budget).slices(1, fib(n - 1) - 1)
-    right = enumerate_A(n - 2, budget).slices(2, fib(n - 2))
-    return left.product(free).product(right)
+    (big, small), _ = halves(n, budget)
+    return big.slices(1, big.length - 1).product(free).product(small.slices(2, small.length))
 
 
 def verify_superset(n: int, budget: int = DEFAULT_BUDGET, *,
@@ -236,7 +223,7 @@ def fa_next_count(n: int, budget: int = DEFAULT_BUDGET,
     At n = 9 the direct scan would need A_10; by factor stability the value
     equals |F_9|, delivered by the windowed construction instead.
     """
-    if n + 1 <= 9:
+    if n + 1 <= MAX_ENUMERATED:
         return len(factor_set(enumerate_A(n + 1, budget), fib(n)))
     return len(factor_set_Fn(n, budget, item_cap))
 

@@ -19,19 +19,23 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .words import CapacityError, Word, fib
-from .wordset import WordSet, pack_rows
+from .words import CapacityError, Word, fibs
+from .wordset import WordSet, pack_rows, slice_packed
 
 DEFAULT_BUDGET = 10**8
 DEFAULT_ITEM_CAP = 1 << 26
 
 #: Largest generation whose words fit 64 symbols (f_10 = 55 <= 64 < 89 = f_11).
 MAX_GENERATION = 10
+#: Largest generation built as a set; A_10 (3.8e10 words) is reached through `halves`.
+MAX_ENUMERATED = MAX_GENERATION - 1
 
 
 class BudgetError(RuntimeError):
@@ -118,10 +122,10 @@ def inflate_step(w: Word, p: float, rng: PrngHandle) -> Word:
 def check_capacity(n: int) -> None:
     """Reject a generation beyond MAX_GENERATION, whose words exceed 64 symbols."""
     if n > MAX_GENERATION:
-        raise CapacityError(f"generation {n} has words of {fib(n)} symbols, beyond 64")
+        raise CapacityError(f"generation {n} is beyond {MAX_GENERATION}: words over 64 symbols")
 
 
-def check_chain(n: int, p: float) -> None:
+def check_chain(n: int, p: float = 0.0) -> None:
     """Reject a generation outside [1, MAX_GENERATION] or a probability outside [0, 1]."""
     if n < 1:
         raise ValueError(f"generation must be >= 1, got {n}")
@@ -141,7 +145,7 @@ def sample_packed(n: int, p: float, rng: PrngHandle, count: int) -> np.ndarray:
     over all chains is a cumulative sum of symbol widths and one scatter.
     """
     check_chain(n, p)
-    f = [fib(m) for m in range(n + 1)]
+    f = fibs(n)
     coins = rng.coins(p, count * (f[n] - 1)).reshape(count, f[n] - 1).view(np.uint8)
     sym = np.zeros((count, 1), dtype=np.uint8)
     for m in range(1, n):
@@ -195,6 +199,34 @@ def _enumerate(n: int) -> WordSet:
         return WordSet(1, [Word.parse("1")])
     big, small = _enumerate(n - 1), _enumerate(n - 2)
     return big.product(small).union(small.product(big))
+
+
+def halves(n: int, budget: int = DEFAULT_BUDGET) -> tuple[tuple[WordSet, WordSet], ...]:
+    """((A_{n-1}, A_{n-2}), (A_{n-2}, A_{n-1})): A_n is the union of their products."""
+    if n < 3:
+        raise ValueError(f"A_n has two halves for n >= 3, got {n}")
+    big, small = enumerate_A(n - 1, budget), enumerate_A(n - 2, budget)
+    return (big, small), (small, big)
+
+
+def membership(n: int, budget: int = DEFAULT_BUDGET) -> Callable[[np.ndarray], np.ndarray]:
+    """A vectorized test of which packed f_n-symbol words lie in A_n; its sets are built now.
+
+    Above MAX_ENUMERATED each of the two `halves(n)` (u, v) splits a word into its
+    first |u| symbols (its low bits), looked up in u, and the rest, looked up in v.
+    """
+    check_chain(n)
+    if n <= MAX_ENUMERATED:
+        return _lookup(enumerate_A(n, budget))
+    orders = [(u.length, _lookup(u), _lookup(v)) for u, v in halves(n, budget)]
+    return lambda words: np.logical_or.reduce(
+        [first(slice_packed(words, 1, cut)) & second(words >> np.uint64(cut))
+         for cut, first, second in orders])
+
+
+def _lookup(s: WordSet) -> Callable[[np.ndarray], np.ndarray]:
+    a = s.packed  # nonempty: s is a generation or a half of one
+    return lambda words: a[np.minimum(np.searchsorted(a, words), len(a) - 1)] == words
 
 
 # --- counting ---------------------------------------------------------
@@ -289,7 +321,7 @@ def _explicit(n: int) -> int:
     if n <= 2:
         return (0, 1, 1)[n]
     odd, twos = _split(n - 1)
-    f = [fib(i) for i in range(n)]
+    f = fibs(n)
     for i in range(2, n):
         b, e = _split(n - i)
         odd *= b ** f[i - 2]
@@ -301,12 +333,13 @@ def log_growth(n: int) -> float:
     """log|A_n| / f_n evaluated through the explicit-product sum.
 
     Fibonacci ratios are formed from exact integers and converted to float
-    once, never propagated through a floating recurrence.
+    once, never propagated through a floating recurrence.  f_n itself is
+    never made a float: from n = 1477 on it is beyond the float range.
     """
     if n < 3:
         raise ValueError(f"log_growth requires n >= 3, got {n}")
-    f = [fib(i) for i in range(n + 1)]
-    total = math.log(n - 1) / f[n]
+    f = fibs(n)
+    total = float(Fraction(math.log(n - 1)) / f[n])
     for i in range(2, n):
         total += f[i - 2] / f[n] * math.log(n - i)
     return total
@@ -351,10 +384,9 @@ def verify_overlap(n: int, budget: int = DEFAULT_BUDGET) -> VerifyResult:
     """
     if n < 4:
         raise ValueError(f"overlap identity needs n >= 4, got {n}")
-    a1 = enumerate_A(n - 1, budget)
-    a2 = enumerate_A(n - 2, budget)
-    a3 = enumerate_A(n - 3, budget)
-    lhs = a1.product(a2).intersection(a2.product(a1))
+    first, second = (u.product(v) for u, v in halves(n, budget))
+    lhs = first.intersection(second)
+    (a2, a3), _ = halves(n - 1, budget)
     rhs = a2.product(a3).product(a2)
     if lhs == rhs:
         return VerifyResult(True)

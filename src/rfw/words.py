@@ -28,6 +28,14 @@ def fib(n: int) -> int:
     return a
 
 
+def fibs(n: int) -> list[int]:
+    """[f_0, f_1, ..., f_n] in one pass."""
+    f = [0, 1]
+    while len(f) <= n:
+        f.append(f[-1] + f[-2])
+    return f[:n + 1]
+
+
 @dataclass(frozen=True)
 class Word:
     """A binary word of up to 64 symbols, packed LSB-first."""

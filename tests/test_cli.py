@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 import rfw
 from rfw import PrngHandle, Word, enumerate_A, inflation, sample_packed
-from rfw.cli import _SAMPLE_BLOCK, _member, main
+from rfw.cli import _SAMPLE_BLOCK, main
+from rfw.inflation import VerifyResult, halves, membership
 
 TABLE_CSV = """n,f_n,A_n,F_n,F_A_next,c_n
 0,0,0,,,
@@ -79,6 +80,25 @@ def test_entropy_bad_tol(capsys):
     assert code == 2
 
 
+# At the default item cap the gap row n = 9 stops the command after every
+# log-growth row: F_9 needs --item-cap 2^29.
+ITEM_CAP_F9 = "entropy: windowed F_9 projects 272490624 candidates, above item cap 67108864\n"
+
+
+def test_entropy_stdout_matches_pinned_digest(capsys):
+    code, out, err = run(capsys, "entropy", "--max-n", "300")
+    assert (code, err) == (2, ITEM_CAP_F9)
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == (
+        "be2c10fceacec31b93e83848cce06b447da33ee1093f664f37d6edb757187c41")
+
+
+def test_entropy_rows_past_the_float_range_of_f_n(capsys):
+    # f_1477 is beyond the float range.
+    code, out, err = run(capsys, "entropy", "--max-n", "2000")
+    assert (code, err) == (2, ITEM_CAP_F9)
+    assert "  n = 2000  log|A_n|/f_n = 0.444399\n" in out
+
+
 def test_verify_small_range(capsys):
     code, out, _ = run(capsys, "verify", "--max-n", "5")
     assert code == 0
@@ -120,6 +140,26 @@ def test_verify_exit_code_prefers_fail_to_limit(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify")
     assert code == 1
     assert out.splitlines()[-1] == "0/2 checks passed, 1 hit a limit"
+
+
+# numpy's MemoryError names the allocation; a bare one is named by its type.
+MEMORY_ERRORS = [
+    ("Unable to allocate 249. GiB for an array", "Unable to allocate 249. GiB for an array"),
+    ("", "MemoryError")]
+
+
+@pytest.mark.parametrize("message,shown", MEMORY_ERRORS)
+def test_verify_reports_memory_error_and_goes_on(capsys, monkeypatch, message, shown):
+    def out_of_memory():
+        raise MemoryError(message)
+
+    checks = [("overlap", "n=4", out_of_memory), ("cut-bound", "n=3", lambda: VerifyResult(True))]
+    monkeypatch.setattr("rfw.cli._verify_checks", lambda *args: iter(checks))
+    code, out, err = run(capsys, "verify")
+    assert (code, err) == (2, "")
+    assert out.splitlines() == [f"RESOURCE  overlap                n=4  [{shown}]",
+                                "PASS  cut-bound              n=3",
+                                "1/2 checks passed, 1 hit a limit"]
 
 
 def test_sample_deterministic(capsys):
@@ -198,6 +238,19 @@ def test_binary_without_output_fails_before_building(capsys, monkeypatch, comman
     assert (code, out, err) == (2, "", f"{command}: a binary export needs -o FILE\n")
 
 
+@pytest.mark.parametrize("message,shown", MEMORY_ERRORS)
+def test_memory_error_exits_2_with_one_line(tmp_path, capsys, monkeypatch, message, shown):
+    def build(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr("rfw.inflation.enumerate_A", build)
+    target = tmp_path / "F"
+    code, out, err = run(capsys, "--budget", "100000000000", "export", "-n", "10",
+                         "--binary", "-o", str(target))
+    assert (code, out, err) == (2, "", f"export: {shown}\n")
+    assert not target.exists()
+
+
 def test_factors_item_cap(capsys):
     code, _, err = run(capsys, "--item-cap", "10", "factors", "-n", "6")
     assert code == 2
@@ -216,12 +269,19 @@ def test_factors_item_cap(capsys):
     ("sample", "-n", "1", "-p", "1.5"),
     ("sample", "-n", "11", "--count", "0"),
     ("sample", "-n", "5", "-p", "1.5", "--count", "0"),
+    ("export", "-n", "3000000"),
+    ("factors", "-n", "3000000"),
+    ("sample", "-n", "3000000"),
+    ("export", "-n", "25000"),
 ])
 def test_bad_values_exit_2_with_one_line(tmp_path, capsys, argv):
     argv = [a.format(missing=tmp_path / "missing") for a in argv]
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert len(err.splitlines()) == 1 and err.startswith(f"{argv[0]}: ")
+    n = int(argv[argv.index("-n") + 1]) if "-n" in argv else 0
+    if n > inflation.MAX_GENERATION:
+        assert f"generation {n} " in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -230,6 +290,8 @@ def test_bad_values_exit_2_with_one_line(tmp_path, capsys, argv):
     ("--budget", "0", "table"),
     ("--item-cap", "0", "factors", "-n", "4"),
     ("table", "--max-n", "-1"),
+    ("entropy", "--max-n", "-3"),
+    ("verify", "--max-n", "-3"),
 ])
 def test_out_of_range_flags_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -259,10 +321,28 @@ def test_sample_check_at_n10_passes_and_prints_the_same_stream(capsys):
 def test_split_membership_equals_direct_lookup(others, picks):
     a9 = enumerate_A(9)
     words = np.concatenate([np.array(others, dtype=np.uint64), a9.packed[picks]])
-    split = _member(words, 9, {8: enumerate_A(8), 7: enumerate_A(7)})
-    direct = _member(words, 9, {9: a9})
-    assert split.tolist() == direct.tolist()
+    split = [any(Word(int(w) & (1 << u.length) - 1, u.length) in u
+                 and Word(int(w) >> u.length, v.length) in v for u, v in halves(9))
+             for w in words]
+    direct = membership(9)(words)
+    assert split == direct.tolist()
     assert direct.tolist() == [Word(int(w), 34) in a9 for w in words]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(0, (1 << 55) - 1), max_size=20),
+       st.lists(st.tuples(st.booleans(), st.integers(0, 3317760 - 1), st.integers(0, 10080 - 1)),
+                max_size=20))
+def test_membership_above_the_enumerated_generations_splits_in_halves(others, picks):
+    (a9, a8), _ = halves(10)
+    built = [int(a9.packed[i]) | int(a8.packed[j]) << 34 if first
+             else int(a8.packed[j]) | int(a9.packed[i]) << 21 for first, i, j in picks]
+    words = np.array(others + built, dtype=np.uint64)
+    oracle = [any(Word(w & (1 << u.length) - 1, u.length) in u
+                  and Word(w >> u.length, v.length) in v for u, v in halves(10))
+              for w in map(int, words)]
+    assert membership(10)(words).tolist() == oracle
+    assert all(oracle[len(others):])
 
 
 @pytest.mark.parametrize("bad", [0, (1 << 55) - 1], ids=["zeros", "ones"])
@@ -333,6 +413,8 @@ def argvs(draw, out_dir):
     if draw(st.booleans()):
         argv += ["--item-cap", draw(ints(0, 10_000))]
     n = ints(-3, 12 if budget is not None else 7)
+    # Generations beyond 10 are rejected before any work, at any size.
+    any_n = st.one_of(n, ints(11, 10**7))
     command = draw(st.sampled_from(["table", "entropy", "verify", "sample", "factors",
                                     "export"]))
     argv.append(command)
@@ -342,10 +424,10 @@ def argvs(draw, out_dir):
         "verify": {"--max-n": n,
                    "--prop": st.one_of(st.just("all"), st.lists(
                        st.sampled_from(PROPS), min_size=1, max_size=3).map(",".join))},
-        "sample": {"-n": n, "-p": floats(-0.25, 1.25), "--seed": ints(-5, 2**70),
+        "sample": {"-n": any_n, "-p": floats(-0.25, 1.25), "--seed": ints(-5, 2**70),
                    "--count": ints(-1, 50)},
-        "factors": {"-n": n},
-        "export": {"-n": n},
+        "factors": {"-n": any_n},
+        "export": {"-n": any_n},
     }[command]
     for flag, values in flags.items():
         if flag == "-n" or draw(st.booleans()):

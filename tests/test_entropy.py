@@ -32,6 +32,14 @@ def test_tolerance_floor():
         entropy_limit(1e-13)
 
 
+@pytest.mark.parametrize("n", [1480, 3000])
+def test_log_growth_past_the_float_range_of_f_n(n):
+    # f_1477 is beyond the float range; log|A_n|/f_n still converges.
+    value = log_growth(n)
+    assert math.isfinite(value)
+    assert abs(value - entropy_limit(1e-12)) < 1e-9
+
+
 def test_sequence_converges():
     values = [log_growth(n) for n in range(3, 201)]
     diffs = [abs(b - a) for a, b in zip(values, values[1:])]
