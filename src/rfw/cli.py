@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Subcommands: table, entropy, verify, sample, factors, export.  Exit codes:
-0 all good, 1 a verified property failed, 2 resource or configuration
-errors (budget, item cap, capacity, memory, bad flags or values such as an
-unknown verify property or a negative --max-n, files that cannot be written).
+Subcommands: table, entropy, verify, sample, factors, export; the one global
+flag is --item-cap, and enumeration has a fixed budget (see DEFAULT_BUDGET)
+that refuses A_10 only.  Exit codes: 0 all good, 1 a verified property
+failed, 2 resource or configuration errors (budget, item cap, capacity,
+memory, bad flags or values such as an unknown verify property or a
+negative --max-n, files that cannot be written).
 `main` turns each of these errors into exit code 2 and a one-line message;
 a reader that closes stdout early ends the command quietly with exit code 0.
 `verify` instead reports a check that hits a limit as a RESOURCE line and
@@ -56,7 +58,7 @@ def _output(path, mode: str = "w"):
 def cmd_table(args) -> int:
     if args.max_n > MAX_ENUMERATED:
         raise ValueError(f"max-n {args.max_n} not computable (|A_11| needs 89-symbol words)")
-    rows = factors.table_rows(args.max_n, args.budget, args.item_cap)
+    rows = factors.table_rows(args.max_n, args.item_cap)
     with _output(args.output) as out:
         if args.format == "csv":
             out.write("n,f_n,A_n,F_n,F_A_next,c_n\n")
@@ -86,53 +88,51 @@ def cmd_entropy(args) -> int:
         print(f"  n = {n:2d}  log|A_n|/f_n = {inflation.log_growth(n):.6f}")
     print("factor-vs-word gap :")
     for n in range(3, min(args.max_n, MAX_ENUMERATED) + 1):
-        a = len(inflation.enumerate_A(n, args.budget))
-        f = len(factors.factor_set_Fn(n, args.budget, args.item_cap))
+        a = len(inflation.enumerate_A(n))
+        f = len(factors.factor_set_Fn(n, args.item_cap))
         gap = (math.log(f) - math.log(a)) / fib(n)
         print(f"  n = {n:2d}  gap = {gap:.6f}")
     return 0
 
 
-def _verify_checks(max_n: int, budget: int, item_cap: int):
+def _verify_checks(max_n: int, item_cap: int):
     """Yield (property, label, thunk) for every check in scope."""
     top = min(max_n + 1, MAX_ENUMERATED)  # largest generation enumerated by the suite
     for n in range(1, top + 1):
-        yield "reversal", f"n={n}", lambda n=n: inflation.verify_palindromic(n, budget)
+        yield "reversal", f"n={n}", lambda n=n: inflation.verify_palindromic(n)
     for n in range(3, top):
         for k in range(1, top - n + 1):
             yield "prefix-stability", f"n={n},k={k}", \
-                lambda n=n, k=k: factors.verify_prefix_stability(n, k, budget)
+                lambda n=n, k=k: factors.verify_prefix_stability(n, k)
     for n in range(4, min(top, 8) + 1):
-        yield "superset", f"n={n}", lambda n=n: factors.verify_superset(n, budget)
+        yield "superset", f"n={n}", lambda n=n: factors.verify_superset(n)
         yield "superset-reversed", f"n={n}", \
-            lambda n=n: factors.verify_superset(n, budget, reversed_form=True)
+            lambda n=n: factors.verify_superset(n, reversed_form=True)
     for n in range(4, top - 1):
         for k in range(2, top - n + 1):
             yield "factor-stability", f"n={n},k={k}", \
-                lambda n=n, k=k: factors.verify_factor_stability(n, k, budget)
+                lambda n=n, k=k: factors.verify_factor_stability(n, k)
     yield "factor-instability-n3", "n=3,k=2 (expected failure)", \
         lambda: inflation.VerifyResult(
-            not factors.verify_factor_stability(3, 2, budget).ok,
+            not factors.verify_factor_stability(3, 2).ok,
             "F(A_4,f_3) = F(A_5,f_3) although the paper-documented 00 factor should break it")
     for n in range(4, min(top, 8) + 1):
-        yield "overlap", f"n={n}", lambda n=n: inflation.verify_overlap(n, budget)
+        yield "overlap", f"n={n}", lambda n=n: inflation.verify_overlap(n)
     for n in range(3, top + 1):
-        yield "cut-bound", f"n={n}", lambda n=n: factors.verify_slice_bound(n, budget)
+        yield "cut-bound", f"n={n}", lambda n=n: factors.verify_slice_bound(n)
     for n in range(3, max_n + 1):
-        yield "factor-bound", f"n={n}", \
-            lambda n=n: factors.verify_Fn_bound(n, budget, item_cap)
+        yield "factor-bound", f"n={n}", lambda n=n: factors.verify_Fn_bound(n, item_cap)
 
 
 def cmd_verify(args) -> int:
     wanted = None if args.prop == "all" else set(args.prop.split(","))
     if wanted is not None:
         # At max_n = MAX_ENUMERATED every property has at least one check.
-        unknown = wanted - {prop for prop, _, _ in
-                            _verify_checks(MAX_ENUMERATED, args.budget, args.item_cap)}
+        unknown = wanted - {prop for prop, _, _ in _verify_checks(MAX_ENUMERATED, args.item_cap)}
         if unknown:
             raise ValueError(f"unknown property {', '.join(sorted(unknown))}")
     failures = limited = ran = 0
-    for prop, label, thunk in _verify_checks(args.max_n, args.budget, args.item_cap):
+    for prop, label, thunk in _verify_checks(args.max_n, args.item_cap):
         if wanted is not None and prop not in wanted:
             continue
         ran += 1
@@ -157,7 +157,7 @@ def cmd_verify(args) -> int:
 def cmd_sample(args) -> int:
     inflation.check_chain(args.n, args.p)
     rng = PrngHandle(args.seed)
-    member = inflation.membership(args.n, args.budget) if args.check else None
+    member = inflation.membership(args.n) if args.check else None
     for start in range(0, args.count, _SAMPLE_BLOCK):
         packed = inflation.sample_packed(args.n, args.p, rng,
                                          min(_SAMPLE_BLOCK, args.count - start))
@@ -185,11 +185,11 @@ def _write_set(build, args) -> int:
 
 
 def cmd_factors(args) -> int:
-    return _write_set(lambda: factors.factor_set_Fn(args.n, args.budget, args.item_cap), args)
+    return _write_set(lambda: factors.factor_set_Fn(args.n, args.item_cap), args)
 
 
 def cmd_export(args) -> int:
-    return _write_set(lambda: inflation.enumerate_A(args.n, args.budget), args)
+    return _write_set(lambda: inflation.enumerate_A(args.n), args)
 
 
 def _at_least(low: int):
@@ -207,8 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="rfw",
         description="Inflated random Fibonacci words: enumeration, factor sets, "
                     "entropy, and brute-force verification.")
-    parser.add_argument("--budget", type=_at_least(1), default=inflation.DEFAULT_BUDGET,
-                        help="max set size any enumeration may reach (default 1e8)")
     parser.add_argument("--item-cap", type=_at_least(1), default=inflation.DEFAULT_ITEM_CAP,
                         help="max candidate items a factor construction may project "
                              "(default 2^26; raise for n = 9)")

@@ -20,9 +20,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .inflation import (DEFAULT_BUDGET, DEFAULT_ITEM_CAP, MAX_ENUMERATED,
-                        ItemCapError, VerifyResult, check_capacity, enumerate_A,
-                        halves)
+from .inflation import (DEFAULT_ITEM_CAP, MAX_ENUMERATED, ItemCapError,
+                        VerifyResult, check_capacity, enumerate_A, halves)
 from .words import Word, fib
 from .wordset import WordSet, _distinct, slice_packed
 
@@ -75,11 +74,11 @@ def factor_set(s: WordSet, ell: int) -> WordSet:
 
 
 @lru_cache(maxsize=16)
-def _factor_set_Fn_cached(n: int, budget: int, item_cap: int) -> WordSet:
+def _factor_set_Fn_cached(n: int, item_cap: int) -> WordSet:
     f = fib(n)
     if n <= 3:
-        return factor_set(enumerate_A(_SMALL_N_SOURCE, budget), f)
-    orders = halves(n + 1, budget)
+        return factor_set(enumerate_A(_SMALL_N_SOURCE), f)
+    orders = halves(n + 1)
     pieces = [(u.slices(k, u.length), v.slices(1, k - 1 + f - u.length))
               for k in range(1, fib(n - 1) + 2) for u, v in orders]
     projected = sum(len(suf) * len(pre) for suf, pre in pieces)
@@ -91,8 +90,7 @@ def _factor_set_Fn_cached(n: int, budget: int, item_cap: int) -> WordSet:
     return WordSet.from_packed(f, _distinct(products, f), canonical=True)
 
 
-def factor_set_Fn(n: int, budget: int = DEFAULT_BUDGET,
-                  item_cap: int = DEFAULT_ITEM_CAP) -> WordSet:
+def factor_set_Fn(n: int, item_cap: int = DEFAULT_ITEM_CAP) -> WordSet:
     """The factor set F_n.
 
     For n >= 4 this is the union over both `halves(n + 1)` (u, v) and
@@ -105,37 +103,37 @@ def factor_set_Fn(n: int, budget: int = DEFAULT_BUDGET,
     if n < 1:
         raise ValueError(f"F_n needs n >= 1, got {n}")
     check_capacity(n)
-    return _factor_set_Fn_cached(n, budget, item_cap)
+    return _factor_set_Fn_cached(n, item_cap)
 
 
 # --- cut statistics ---------------------------------------------------
 
 
 @lru_cache(maxsize=None)
-def _cut_products(n: int, budget: int) -> list[tuple[int, int, int]]:
+def _cut_products(n: int) -> list[tuple[int, int, int]]:
     """(k, |A_n[1,k]|, |A_n[k+1,f_n]|) for every cut point k."""
-    a = enumerate_A(n, budget)
+    a = enumerate_A(n)
     return [(k, len(a.slices(1, k)), len(a.slices(k + 1, a.length)))
             for k in range(1, a.length)]
 
 
-def c_stat(n: int, budget: int = DEFAULT_BUDGET) -> Fraction:
+def c_stat(n: int) -> Fraction:
     """max_k |A_n[1,k]| |A_n[k+1,f_n]| / |A_n| as a reduced exact rational."""
     if n < 3:
         raise ValueError(f"c_n needs n >= 3, got {n}")
-    best = max(pre * suf for _, pre, suf in _cut_products(n, budget))
-    return Fraction(best, len(enumerate_A(n, budget)))
+    best = max(pre * suf for _, pre, suf in _cut_products(n))
+    return Fraction(best, len(enumerate_A(n)))
 
 
 # --- proposition verifiers -------------------------------------------
 
 
-def verify_prefix_stability(n: int, k: int, budget: int = DEFAULT_BUDGET) -> VerifyResult:
+def verify_prefix_stability(n: int, k: int) -> VerifyResult:
     """Prefix and suffix slice sets of A_n persist into A_{n+k}."""
     if n < 3 or k < 0:
         raise ValueError(f"prefix stability needs n >= 3, k >= 0, got ({n}, {k})")
     f_n, f_nk = fib(n), fib(n + k)
-    a_n, a_nk = enumerate_A(n, budget), enumerate_A(n + k, budget)
+    a_n, a_nk = enumerate_A(n), enumerate_A(n + k)
     prefix_ok = a_n.slices(1, f_n - 1) == a_nk.slices(1, f_n - 1)
     if not prefix_ok:
         return VerifyResult(False, f"prefix sets A_{n}[1,{f_n - 1}] != A_{n + k}[1,{f_n - 1}]")
@@ -145,15 +143,14 @@ def verify_prefix_stability(n: int, k: int, budget: int = DEFAULT_BUDGET) -> Ver
     return VerifyResult(True)
 
 
-def _superset_rhs(n: int, budget: int) -> WordSet:
+def _superset_rhs(n: int) -> WordSet:
     """(A_{n-1}[1, f_{n-1}-1]) {0,1}^2 (A_{n-2}[2, f_{n-2}])."""
     free = WordSet(2, [Word.parse(s) for s in ("00", "01", "10", "11")])
-    (big, small), _ = halves(n, budget)
+    (big, small), _ = halves(n)
     return big.slices(1, big.length - 1).product(free).product(small.slices(2, small.length))
 
 
-def verify_superset(n: int, budget: int = DEFAULT_BUDGET, *,
-                    reversed_form: bool = False) -> VerifyResult:
+def verify_superset(n: int, *, reversed_form: bool = False) -> VerifyResult:
     """A_n is contained in the prefix/free-block/suffix product set.
 
     The reversed form checks the mirror statement obtained by reversing
@@ -161,10 +158,10 @@ def verify_superset(n: int, budget: int = DEFAULT_BUDGET, *,
     """
     if n < 4:
         raise ValueError(f"superset check needs n >= 4, got {n}")
-    a_n = enumerate_A(n, budget)
+    a_n = enumerate_A(n)
     if reversed_form:
         a_n = a_n.reverse()
-    rhs = _superset_rhs(n, budget)
+    rhs = _superset_rhs(n)
     inside = np.isin(a_n.packed, rhs.packed, assume_unique=True)
     if inside.all():
         return VerifyResult(True)
@@ -172,17 +169,17 @@ def verify_superset(n: int, budget: int = DEFAULT_BUDGET, *,
     return VerifyResult(False, f"{w} in A_{n} escapes the superset (reversed={reversed_form})")
 
 
-def verify_factor_stability(n: int, k: int, budget: int = DEFAULT_BUDGET) -> VerifyResult:
+def verify_factor_stability(n: int, k: int) -> VerifyResult:
     """F(A_{n+1}, f_n) = F(A_{n+k}, f_n), both by direct sliding windows.
 
     Holds for n >= 4, k >= 1; at n = 3 it genuinely fails (the factor 00
     only appears from generation 5 on), which callers may assert.
     """
-    if k < 1:
-        raise ValueError(f"factor stability needs k >= 1, got {k}")
+    if n < 1 or k < 1:
+        raise ValueError(f"factor stability needs n >= 1, k >= 1, got ({n}, {k})")
     f_n = fib(n)
-    first = factor_set(enumerate_A(n + 1, budget), f_n)
-    later = factor_set(enumerate_A(n + k, budget), f_n)
+    first = factor_set(enumerate_A(n + 1), f_n)
+    later = factor_set(enumerate_A(n + k), f_n)
     if first == later:
         return VerifyResult(True)
     diff = np.setxor1d(first.packed, later.packed, assume_unique=True)
@@ -190,24 +187,23 @@ def verify_factor_stability(n: int, k: int, budget: int = DEFAULT_BUDGET) -> Ver
     return VerifyResult(False, f"F(A_{n + 1},f_{n}) != F(A_{n + k},f_{n}), e.g. {w}")
 
 
-def verify_slice_bound(n: int, budget: int = DEFAULT_BUDGET) -> VerifyResult:
+def verify_slice_bound(n: int) -> VerifyResult:
     """|A_n[1,k]| |A_n[k+1,f_n]| <= 4^{n-2} |A_n| at every cut point."""
     if n < 3:
         raise ValueError(f"slice bound needs n >= 3, got {n}")
-    bound = 4 ** (n - 2) * len(enumerate_A(n, budget))
-    for k, pre, suf in _cut_products(n, budget):
+    bound = 4 ** (n - 2) * len(enumerate_A(n))
+    for k, pre, suf in _cut_products(n):
         if pre * suf > bound:
             return VerifyResult(False, f"cut k = {k}: {pre} * {suf} > {bound}")
     return VerifyResult(True)
 
 
-def verify_Fn_bound(n: int, budget: int = DEFAULT_BUDGET,
-                    item_cap: int = DEFAULT_ITEM_CAP) -> VerifyResult:
+def verify_Fn_bound(n: int, item_cap: int = DEFAULT_ITEM_CAP) -> VerifyResult:
     """|F_n| <= 2 (4^{n-2} f_{n-1} + 1) |A_n|."""
     if n < 3:
         raise ValueError(f"factor-count bound needs n >= 3, got {n}")
-    f_count = len(factor_set_Fn(n, budget, item_cap))
-    bound = 2 * (4 ** (n - 2) * fib(n - 1) + 1) * len(enumerate_A(n, budget))
+    f_count = len(factor_set_Fn(n, item_cap))
+    bound = 2 * (4 ** (n - 2) * fib(n - 1) + 1) * len(enumerate_A(n))
     if f_count <= bound:
         return VerifyResult(True)
     return VerifyResult(False, f"|F_{n}| = {f_count} > {bound}")
@@ -216,31 +212,30 @@ def verify_Fn_bound(n: int, budget: int = DEFAULT_BUDGET,
 # --- table assembly ---------------------------------------------------
 
 
-def fa_next_count(n: int, budget: int = DEFAULT_BUDGET,
-                  item_cap: int = DEFAULT_ITEM_CAP) -> int:
+def fa_next_count(n: int, item_cap: int = DEFAULT_ITEM_CAP) -> int:
     """|F(A_{n+1}, f_n)| by direct scan of A_{n+1} where enumerable.
 
     At n = 9 the direct scan would need A_10; by factor stability the value
     equals |F_9|, delivered by the windowed construction instead.
     """
+    if n < 1:
+        raise ValueError(f"F(A_{{n+1}}, f_n) needs n >= 1, got {n}")
     if n + 1 <= MAX_ENUMERATED:
-        return len(factor_set(enumerate_A(n + 1, budget), fib(n)))
-    return len(factor_set_Fn(n, budget, item_cap))
+        return len(factor_set(enumerate_A(n + 1), fib(n)))
+    return len(factor_set_Fn(n, item_cap))
 
 
-def build_report(n: int, budget: int = DEFAULT_BUDGET,
-                 item_cap: int = DEFAULT_ITEM_CAP) -> FactorReport:
+def build_report(n: int, item_cap: int = DEFAULT_ITEM_CAP) -> FactorReport:
     """Compute one full table row; blank cells (per the table layout) are None."""
-    a_count = len(enumerate_A(n, budget))
+    a_count = len(enumerate_A(n))
     if n == 0:
         return FactorReport(0, 0, a_count, None, None, None)
-    f_count = len(factor_set_Fn(n, budget, item_cap))
-    fa_next = fa_next_count(n, budget, item_cap)
+    f_count = len(factor_set_Fn(n, item_cap))
+    fa_next = fa_next_count(n, item_cap)
     if n < 3:
         return FactorReport(n, fib(n), a_count, f_count, fa_next, None)
-    return FactorReport(n, fib(n), a_count, f_count, fa_next, c_stat(n, budget))
+    return FactorReport(n, fib(n), a_count, f_count, fa_next, c_stat(n))
 
 
-def table_rows(max_n: int, budget: int = DEFAULT_BUDGET,
-               item_cap: int = DEFAULT_ITEM_CAP) -> list[FactorReport]:
-    return [build_report(n, budget, item_cap) for n in range(max_n + 1)]
+def table_rows(max_n: int, item_cap: int = DEFAULT_ITEM_CAP) -> list[FactorReport]:
+    return [build_report(n, item_cap) for n in range(max_n + 1)]

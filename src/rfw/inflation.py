@@ -39,7 +39,7 @@ MAX_ENUMERATED = MAX_GENERATION - 1
 
 
 class BudgetError(RuntimeError):
-    """A requested enumeration would exceed the configured element budget."""
+    """A requested enumeration would exceed the fixed element budget, DEFAULT_BUDGET."""
 
 
 class ItemCapError(BudgetError):
@@ -174,18 +174,18 @@ def sample_chain(n: int, p: float, rng: PrngHandle) -> Word:
 # --- enumeration ------------------------------------------------------
 
 
-def enumerate_A(n: int, budget: int = DEFAULT_BUDGET) -> WordSet:
+def enumerate_A(n: int) -> WordSet:
     """The full set A_n, canonically ordered.
 
-    The predicted size (explicit product formula) is checked against the
-    budget before anything is built; n = 10 already needs ~3.8e10 words.
+    The predicted size (explicit product formula) is checked against
+    DEFAULT_BUDGET before anything is built, so A_10 (~3.8e10 words) is refused.
     """
     if n < 0:
         raise ValueError(f"generation must be >= 0, got {n}")
     check_capacity(n)
     predicted = count_A_explicit(n)
-    if predicted > budget:
-        raise BudgetError(f"|A_{n}| = {predicted} exceeds budget {budget}")
+    if predicted > DEFAULT_BUDGET:
+        raise BudgetError(f"|A_{n}| = {predicted} exceeds budget {DEFAULT_BUDGET}")
     return _enumerate(n)
 
 
@@ -201,24 +201,25 @@ def _enumerate(n: int) -> WordSet:
     return big.product(small).union(small.product(big))
 
 
-def halves(n: int, budget: int = DEFAULT_BUDGET) -> tuple[tuple[WordSet, WordSet], ...]:
+def halves(n: int) -> tuple[tuple[WordSet, WordSet], ...]:
     """((A_{n-1}, A_{n-2}), (A_{n-2}, A_{n-1})): A_n is the union of their products."""
     if n < 3:
         raise ValueError(f"A_n has two halves for n >= 3, got {n}")
-    big, small = enumerate_A(n - 1, budget), enumerate_A(n - 2, budget)
+    big, small = enumerate_A(n - 1), enumerate_A(n - 2)
     return (big, small), (small, big)
 
 
-def membership(n: int, budget: int = DEFAULT_BUDGET) -> Callable[[np.ndarray], np.ndarray]:
-    """A vectorized test of which packed f_n-symbol words lie in A_n; its sets are built now.
+def membership(n: int) -> Callable[[np.ndarray], np.ndarray]:
+    """A vectorized test of which packed f_n-symbol words lie in A_n.
 
-    Above MAX_ENUMERATED each of the two `halves(n)` (u, v) splits a word into its
-    first |u| symbols (its low bits), looked up in u, and the rest, looked up in v.
+    The sets it reads, A_9 at most, are built now.  Above MAX_ENUMERATED each
+    of the two `halves(n)` (u, v) splits a word into its first |u| symbols
+    (its low bits), looked up in u, and the rest, looked up in v.
     """
     check_chain(n)
     if n <= MAX_ENUMERATED:
-        return _lookup(enumerate_A(n, budget))
-    orders = [(u.length, _lookup(u), _lookup(v)) for u, v in halves(n, budget)]
+        return _lookup(enumerate_A(n))
+    orders = [(u.length, _lookup(u), _lookup(v)) for u, v in halves(n)]
     return lambda words: np.logical_or.reduce(
         [first(slice_packed(words, 1, cut)) & second(words >> np.uint64(cut))
          for cut, first, second in orders])
@@ -367,16 +368,16 @@ def entropy_limit(tol: float = 1e-8, max_terms: int = 5000) -> float:
 # --- brute-force property checks -------------------------------------
 
 
-def verify_palindromic(n: int, budget: int = DEFAULT_BUDGET) -> VerifyResult:
+def verify_palindromic(n: int) -> VerifyResult:
     """A_n is closed under word reversal (n >= 1)."""
-    a = enumerate_A(n, budget)
+    a = enumerate_A(n)
     if a.reverse() == a:
         return VerifyResult(True)
     missing = next(w for w in a if w.reverse() not in a)
     return VerifyResult(False, f"reverse({missing}) not in A_{n}")
 
 
-def verify_overlap(n: int, budget: int = DEFAULT_BUDGET) -> VerifyResult:
+def verify_overlap(n: int) -> VerifyResult:
     """(A_{n-1}A_{n-2}) inter (A_{n-2}A_{n-1}) = A_{n-2}A_{n-3}A_{n-2}.
 
     This is the index-shifted, length-consistent form of the overlap
@@ -384,9 +385,9 @@ def verify_overlap(n: int, budget: int = DEFAULT_BUDGET) -> VerifyResult:
     """
     if n < 4:
         raise ValueError(f"overlap identity needs n >= 4, got {n}")
-    first, second = (u.product(v) for u, v in halves(n, budget))
+    first, second = (u.product(v) for u, v in halves(n))
     lhs = first.intersection(second)
-    (a2, a3), _ = halves(n - 1, budget)
+    (a2, a3), _ = halves(n - 1)
     rhs = a2.product(a3).product(a2)
     if lhs == rhs:
         return VerifyResult(True)

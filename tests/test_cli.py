@@ -56,9 +56,17 @@ def test_table_to_file(tmp_path, capsys):
 
 
 def test_table_resource_error(capsys):
-    code, _, err = run(capsys, "--budget", "100", "table", "--max-n", "7")
-    assert code == 2
-    assert "budget" in err
+    for command in ("export", "factors"):
+        code, _, err = run(capsys, command, "-n", "10")
+        assert code == 2
+        assert err == f"{command}: |A_10| = 37623398400 exceeds budget 100000000\n"
+
+
+def test_budget_is_not_a_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--budget", "1000000000", "table", "--max-n", "3"])
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
 
 
 def test_table_byte_identical(tmp_path, capsys):
@@ -245,8 +253,7 @@ def test_memory_error_exits_2_with_one_line(tmp_path, capsys, monkeypatch, messa
 
     monkeypatch.setattr("rfw.inflation.enumerate_A", build)
     target = tmp_path / "F"
-    code, out, err = run(capsys, "--budget", "100000000000", "export", "-n", "10",
-                         "--binary", "-o", str(target))
+    code, out, err = run(capsys, "export", "-n", "10", "--binary", "-o", str(target))
     assert (code, out, err) == (2, "", f"export: {shown}\n")
     assert not target.exists()
 
@@ -286,8 +293,6 @@ def test_bad_values_exit_2_with_one_line(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("argv", [
     ("sample", "-n", "5", "--count", "-3"),
-    ("--budget", "-5", "table"),
-    ("--budget", "0", "table"),
     ("--item-cap", "0", "factors", "-n", "4"),
     ("table", "--max-n", "-1"),
     ("entropy", "--max-n", "-3"),
@@ -402,35 +407,35 @@ def floats(low, high):
 
 @st.composite
 def argvs(draw, out_dir):
-    # A small budget (at most |A_8| = 10080) stops every n >= 9 before any
-    # work, so it can go with the whole range of n; the default budget
-    # admits A_9, whose scans and exports take seconds, so n stays <= 7.
-    # Neither cap admits F_9, which needs --item-cap >= 2^29.
+    # The fixed budget admits A_9, whose scans and exports take seconds, so n
+    # and --max-n stay <= 7 (--max-n is always given: its default is 8), plus
+    # values each command rejects before any work: -n 10 for export and
+    # factors (the budget refuses A_10), -n 11..10^7 (beyond 64 symbols) and
+    # table --max-n 10..12 (not computable).  Neither cap admits F_9, which
+    # needs --item-cap >= 2^29.
     argv = []
-    budget = draw(st.none() | st.integers(1, 10_080))
-    if budget is not None:
-        argv += ["--budget", str(budget)]
     if draw(st.booleans()):
         argv += ["--item-cap", draw(ints(0, 10_000))]
-    n = ints(-3, 12 if budget is not None else 7)
-    # Generations beyond 10 are rejected before any work, at any size.
+    n = ints(-3, 7)
     any_n = st.one_of(n, ints(11, 10**7))
+    set_n = st.one_of(any_n, st.just("10"))
     command = draw(st.sampled_from(["table", "entropy", "verify", "sample", "factors",
                                     "export"]))
     argv.append(command)
     flags = {
-        "table": {"--max-n": n, "--format": st.sampled_from(["text", "csv", "json", "xml"])},
+        "table": {"--max-n": st.one_of(n, ints(10, 12)),
+                  "--format": st.sampled_from(["text", "csv", "json", "xml"])},
         "entropy": {"--max-n": n, "--tol": floats(1e-16, 1.0)},
         "verify": {"--max-n": n,
                    "--prop": st.one_of(st.just("all"), st.lists(
                        st.sampled_from(PROPS), min_size=1, max_size=3).map(",".join))},
         "sample": {"-n": any_n, "-p": floats(-0.25, 1.25), "--seed": ints(-5, 2**70),
                    "--count": ints(-1, 50)},
-        "factors": {"-n": any_n},
-        "export": {"-n": any_n},
+        "factors": {"-n": set_n},
+        "export": {"-n": set_n},
     }[command]
     for flag, values in flags.items():
-        if flag == "-n" or draw(st.booleans()):
+        if flag in ("-n", "--max-n") or draw(st.booleans()):
             argv += [flag, draw(values)]
     if command in ("table", "factors", "export") and draw(st.booleans()):
         argv += ["-o", str(draw(st.sampled_from(

@@ -1,7 +1,12 @@
+import ast
+from pathlib import Path
+
 import pytest
 
 from rfw import (BudgetError, CapacityError, Word, count_A_explicit,
                  enumerate_A, verify_overlap, verify_palindromic)
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "rfw"
 
 A5_WORDS = ["01011", "01101", "01110", "10011",
             "10101", "10110", "11001", "11010"]
@@ -43,8 +48,6 @@ def test_membership():
 
 
 def test_budget_guard():
-    with pytest.raises(BudgetError):
-        enumerate_A(9, budget=10**6)
     # n = 10 exceeds the default 1e8 budget by two orders of magnitude
     with pytest.raises(BudgetError):
         enumerate_A(10)
@@ -53,7 +56,45 @@ def test_budget_guard():
 
 def test_capacity_guard():
     with pytest.raises(CapacityError):
-        enumerate_A(11, budget=10**30)
+        enumerate_A(11)
+
+
+def budget_knobs(source, owner=False):
+    """Lines of `source` that take a `budget` parameter or read DEFAULT_BUDGET;
+    with `owner`, reads inside `enumerate_A` are allowed."""
+    tree = ast.parse(source)
+    inside = {id(node) for fn in ast.walk(tree)
+              if owner and isinstance(fn, ast.FunctionDef) and fn.name == "enumerate_A"
+              for node in ast.walk(fn)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+            if any(p is not None and p.arg == "budget" for p in params):
+                found.append(node.lineno)
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if (name == "DEFAULT_BUDGET" and isinstance(node.ctx, ast.Load)
+                and id(node) not in inside):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_guard_sees_budget_knobs():
+    source = ("DEFAULT_BUDGET = 10**8\n"
+              "def enumerate_A(n):\n    return n > DEFAULT_BUDGET\n"
+              "def halves(n, budget=DEFAULT_BUDGET):\n    pass\n"
+              "f = lambda *, budget: 0\n"
+              "x = inflation.DEFAULT_BUDGET\n"
+              "def g(n, **budget):\n    pass\n")
+    assert budget_knobs(source, owner=True) == [4, 4, 6, 7, 8]
+    assert budget_knobs(source) == [3, 4, 4, 6, 7, 8]
+
+
+def test_only_enumerate_A_reads_the_budget():
+    found = [f"{path.name} line {line}" for path in sorted(SRC.glob("*.py"))
+             for line in budget_knobs(path.read_text(), owner=path.name == "inflation.py")]
+    assert found == []
 
 
 @pytest.mark.parametrize("n", range(1, 10))

@@ -145,6 +145,14 @@ def test_factor_stability_fails_below_four():
     assert res.witness is not None
 
 
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("check", [fa_next_count, lambda n: verify_factor_stability(n, 2)],
+                         ids=["fa_next_count", "verify_factor_stability"])
+def test_generation_below_one_is_a_value_error(check, n):
+    with pytest.raises(ValueError, match="needs n >= 1"):
+        check(n)
+
+
 @pytest.mark.parametrize("n", range(3, 10))
 def test_slice_bound(n):
     assert verify_slice_bound(n).ok
