@@ -18,6 +18,7 @@ import argparse
 import json
 import math
 import os
+import shutil
 import sys
 from contextlib import contextmanager
 
@@ -47,12 +48,35 @@ def _row_cells(r: factors.FactorReport) -> list[str]:
 
 @contextmanager
 def _output(path, mode: str = "w"):
-    """stdout when `path` is None, else the file `path` opened in `mode`."""
+    """stdout when `path` is None, else the file `path` opened in `mode`.
+
+    A regular file, or a new one, is written beside itself and then replaced,
+    so it changes only once written in full; /dev/null or a FIFO is written in place.
+    """
     if path is None:
         yield sys.stdout
-    else:
+        return
+    real = os.path.realpath(path)
+    if os.path.exists(real) and not os.path.isfile(real):
         with open(path, mode) as fh:
             yield fh
+        return
+    if os.path.exists(real):
+        open(real, "ab").close()  # a target we may not write fails as before
+    tmp = f"{real}.{os.urandom(4).hex()}.tmp"
+    try:
+        fh = open(tmp, mode.replace("w", "x"))
+    except OSError as exc:  # name the target, not the new file
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with fh:
+            if os.path.exists(real):
+                shutil.copymode(real, tmp)
+            yield fh
+        os.replace(tmp, real)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def cmd_table(args) -> int:

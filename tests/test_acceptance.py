@@ -82,6 +82,15 @@ def test_criterion_3_heavy_gmp_range():
     announce("3-heavy", "cubic recursion = explicit product at n = 44")
 
 
+@heavy
+def test_criterion_3_heavy_plain_ints():
+    # Without gmpy2: the three routes in plain ints, their large products
+    # through the FFT kernel.  About 20 s and 250 MB; |A_40| has 6.6e7 bits.
+    for n in range(41):
+        assert rfw.count_A_long(n) == rfw.count_A_short(n) == rfw.count_A_explicit(n), n
+    announce("3-heavy-int", "three formulas agree in plain ints for n <= 40")
+
+
 @pytest.mark.xfail(
     run=False,
     reason="unattainable as stated: |A_60| is an integer of ~3e11 decimal "

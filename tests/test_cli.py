@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import rfw
-from rfw import PrngHandle, Word, enumerate_A, inflation, sample_packed
+from rfw import PrngHandle, Word, WordSet, enumerate_A, inflation, sample_packed
 from rfw.cli import _SAMPLE_BLOCK, main
 from rfw.inflation import VerifyResult, halves, membership
 
@@ -382,6 +382,97 @@ def test_closed_stdout_ends_quietly():
     finally:
         proc.kill()
     assert (proc.returncode, err) == (0, b"")
+
+
+def test_importing_and_sampling_leave_numpy_fft_unloaded():
+    # numpy loads numpy.fft lazily; only a product past the FFT crossover needs it.
+    code = ("import sys, rfw; from rfw.cli import main\n"
+            "assert 'numpy.fft' not in sys.modules\n"
+            "assert main(['sample', '-n', '5']) == 0\n"
+            "assert main(['table', '--max-n', '5']) == 0\n"
+            "assert 'numpy.fft' not in sys.modules, 'numpy.fft loaded'\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(rfw.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+# --- -o: a regular file is replaced whole or left as it was -----------------
+
+
+@pytest.mark.parametrize("binary", [False, True])
+def test_output_replaces_a_regular_file_and_keeps_its_mode(tmp_path, capsys, binary):
+    target = tmp_path / "a5"
+    target.write_bytes(b"old contents\n" * 1000)
+    target.chmod(0o640)
+    code, _, _ = run(capsys, "export", "-n", "5", "-o", str(target), *["--binary"] * binary)
+    assert code == 0
+    with open(target, "rb" if binary else "r") as fh:
+        read = WordSet.read_binary(fh) if binary else WordSet.read_text(fh)
+    assert read == enumerate_A(5)
+    assert target.stat().st_mode & 0o777 == 0o640
+    assert os.listdir(tmp_path) == ["a5"]
+
+
+def test_output_through_a_symlink_writes_its_target(tmp_path, capsys):
+    real, link = tmp_path / "real.csv", tmp_path / "link.csv"
+    real.write_text("old\n")
+    link.symlink_to(real)
+    assert run(capsys, "table", "--max-n", "3", "--format", "csv", "-o", str(link))[0] == 0
+    assert link.is_symlink() and real.read_text().startswith("n,f_n,")
+    assert sorted(os.listdir(tmp_path)) == ["link.csv", "real.csv"]
+
+
+def test_a_failed_write_leaves_the_target_untouched(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "a6.txt"
+    target.write_bytes(b"the old export\n")
+
+    def half_then_fail(self, fh):
+        fh.write("0" * 100000)
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(WordSet, "write_text", half_then_fail)
+    code, out, err = run(capsys, "export", "-n", "6", "-o", str(target))
+    assert (code, out, err) == (2, "", "export: [Errno 28] No space left on device\n")
+    assert target.read_bytes() == b"the old export\n"
+    assert os.listdir(tmp_path) == ["a6.txt"]
+
+
+def test_output_context_removes_its_new_file_on_any_error(tmp_path):
+    from rfw.cli import _output
+
+    with pytest.raises(KeyboardInterrupt), _output(str(tmp_path / "new.txt")) as fh:
+        fh.write("partial")
+        raise KeyboardInterrupt
+    assert os.listdir(tmp_path) == []
+
+
+def test_output_into_a_missing_directory_names_the_target(tmp_path, capsys):
+    target = tmp_path / "missing" / "a3.txt"
+    code, _, err = run(capsys, "export", "-n", "3", "-o", str(target))
+    assert (code, err) == (2, f"export: [Errno 2] No such file or directory: '{target}'\n")
+
+
+@pytest.mark.parametrize("argv", [("export", "-n", "6"), ("export", "-n", "6", "--binary"),
+                                  ("table", "--max-n", "4")])
+def test_output_to_dev_null_exits_0(capsys, argv):
+    assert run(capsys, *argv, "-o", os.devnull)[0] == 0
+
+
+def test_output_to_a_fifo_is_written_in_place(tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    env = {**os.environ, "PYTHONPATH": str(Path(rfw.__file__).parents[1])}
+    proc = subprocess.Popen([sys.executable, "-m", "rfw.cli", "export", "-n", "5", "-o", str(fifo)],
+                            stderr=subprocess.PIPE, env=env)
+    try:
+        with open(fifo) as fh:
+            lines = fh.read().splitlines()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert (proc.returncode, err, len(lines)) == (0, b"", 8)
+    assert os.listdir(tmp_path) == ["pipe"]
 
 
 # --- argv fuzz: every command line ends in exit 0, 1 or 2 ------------------

@@ -1,4 +1,6 @@
 import functools
+import math
+import os
 import sys
 import threading
 
@@ -220,3 +222,136 @@ def test_inexact_short_division_raises_arithmetic_error_naming_n(monkeypatch, n,
     finally:
         real.cache_clear()  # its terms above the tampered ones are wrong
     assert len(str(exc.value)) < 100
+
+
+# --- the FFT product kernel against plain `*` -----------------------------
+
+BIG = inflation._MUL_MIN_BITS
+
+
+def all_ones(nbytes):
+    return (1 << 8 * nbytes) - 1
+
+
+@pytest.fixture
+def irfft_calls(monkeypatch):
+    """Counts the transforms `_mul` runs: one irfft per product it takes."""
+    import numpy as np
+
+    calls = []
+    real = np.fft.irfft
+
+    def spy(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "irfft", spy)
+    return calls
+
+
+def sized(bits):
+    return st.one_of(st.integers(0, (1 << bits) - 1), st.just(1 << bits - 1),
+                     st.just((1 << bits) - 1))
+
+
+# Sizes anywhere up to three times the crossover, and close around it.
+OPERANDS = st.one_of(st.integers(1, 3 * BIG), st.integers(BIG - 64, BIG + 64)).flatmap(sized)
+
+
+@settings(max_examples=60, deadline=None)
+@given(OPERANDS, OPERANDS, st.booleans())
+@example(0, 1 << 5 * BIG, False)
+@example(1, (1 << 2 * BIG) - 1, False)
+@example(1 << BIG, 1 << 3 * BIG, False)
+@example((1 << BIG) - 1, 0, True)
+@example((1 << BIG + 8) - 1, (1 << 2 * BIG) - 3, False)
+def test_mul_is_the_plain_product(a, b, same):
+    if same:
+        b = a
+    assert inflation._mul(a, b) == a * b
+
+
+def test_mul_takes_the_fft_branch_above_the_crossover(irfft_calls):
+    small, large = (1 << BIG - 9) + 1, (1 << BIG + 1) - 1
+    assert inflation._mul(small, large) == small * large
+    assert irfft_calls == []
+    assert inflation._mul(large, large) == large * large
+    assert len(irfft_calls) == 1
+
+
+@pytest.mark.parametrize("la,lb", [
+    (BIG // 8, BIG // 8), (BIG // 8, 3 << 14), (1 << 16, 1 << 16),
+    (1 << 19, (1 << 19) + 1), (1 << 20, 1 << 17), (1 << 20, (1 << 20) - 1)])
+def test_mul_of_all_ones_is_exact(irfft_calls, la, lb):
+    # Every limb is 255, every coefficient as large as it can be: the
+    # worst case for rounding.  (2^x - 1)(2^y - 1) has a closed form.
+    a, b = all_ones(la), all_ones(lb)
+    assert inflation._mul(a, b) == (1 << 8 * (la + lb)) - (1 << 8 * la) - (1 << 8 * lb) + 1
+    assert inflation._mul(a, a) == (1 << 16 * la) - (1 << 8 * la + 1) + 1
+    assert len(irfft_calls) == 2
+
+
+def percival_bound(n):
+    # The docstring of `_mul`: N 255^2 (c log2 N) 2^-53 with c = 16.
+    return n * 255**2 * 16 * math.log2(n) * 2.0**-53
+
+
+def test_largest_transform_is_inside_the_rounding_bound():
+    assert inflation._MUL_MAX_LEN >= 1 << 24
+    assert percival_bound(inflation._MUL_MAX_LEN) < 1 / 8
+
+
+@pytest.mark.skipif(os.environ.get("RFW_HEAVY") != "1", reason="heavy tier: set RFW_HEAVY=1")
+def test_mul_of_all_ones_at_the_largest_transform(irfft_calls):
+    # About 7 s and 1.3 GB: 16 MB factors, a 2^25-point transform.
+    la = (inflation._MUL_MAX_LEN + 1) // 2
+    lb = inflation._MUL_MAX_LEN + 1 - la
+    a, b = all_ones(la), all_ones(lb)
+    assert inflation._mul(a, b) == (1 << 8 * (la + lb)) - (1 << 8 * la) - (1 << 8 * lb) + 1
+    assert irfft_calls == [inflation._MUL_MAX_LEN]
+
+
+def test_longer_products_are_left_to_cpython(monkeypatch, irfft_calls):
+    monkeypatch.setattr(inflation, "_MUL_MAX_LEN", 1 << 13)
+    a = all_ones(1 << 12)
+    b = a + 2  # 2^12 + 1 limbs
+    assert inflation._mul(a, b) == a * b  # a product of 2^13 limbs: admitted
+    assert inflation._mul(a, b << 8) == a * (b << 8)  # 2^13 + 1: one too many
+    assert irfft_calls == [1 << 13]
+
+
+def test_a_coefficient_off_the_integers_falls_back_to_cpython(monkeypatch, irfft_calls):
+    import numpy as np
+
+    spied = np.fft.irfft
+
+    def off(*args, **kwargs):
+        c = spied(*args, **kwargs)
+        c[len(c) // 2] += 0.6  # 0.4 from an integer, and rounding gives c_k + 1
+        return c
+
+    monkeypatch.setattr(np.fft, "irfft", off)
+    a, b = (1 << 3 * BIG) - 12345, (1 << 2 * BIG) - 1
+    assert inflation._mul(a, b) == a * b
+    assert inflation._mul(a, a) == a * a
+    assert len(irfft_calls) == 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 97, 1000, 1 << 20, (1 << 20) + 1, 10**7])
+def test_fft_len_is_the_least_2_3_5_smooth_length(n):
+    m = inflation._fft_len(n)
+    assert m >= n
+    k = m
+    for p in (2, 3, 5):
+        while k % p == 0:
+            k //= p
+    assert k == 1
+    smooth = {2**i * 3**j * 5**k for i in range(26) for j in range(16) for k in range(11)}
+    assert m == min(x for x in smooth if x >= n)
+
+
+@pytest.mark.parametrize("route", ORACLES, ids=lambda r: r.__name__)
+def test_the_loop_oracles_drive_the_fft_branch(irfft_calls, route):
+    clear_caches()
+    assert [route(n) for n in range(TOP + 1)] == [oracle(route, n) for n in range(TOP + 1)]
+    assert irfft_calls, f"{route.__name__} never took the FFT branch up to n = {TOP}"
