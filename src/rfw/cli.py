@@ -51,29 +51,29 @@ def _output(path, mode: str = "w"):
     """stdout when `path` is None, else the file `path` opened in `mode`.
 
     A regular file, or a new one, is written beside itself and then replaced,
-    so it changes only once written in full; /dev/null or a FIFO is written in place.
+    so it changes only once written in full.  A symlink (/dev/stdout among
+    them), /dev/null or a FIFO is written in place.
     """
     if path is None:
         yield sys.stdout
         return
-    real = os.path.realpath(path)
-    if os.path.exists(real) and not os.path.isfile(real):
+    if os.path.islink(path) or os.path.exists(path) and not os.path.isfile(path):
         with open(path, mode) as fh:
             yield fh
         return
-    if os.path.exists(real):
-        open(real, "ab").close()  # a target we may not write fails as before
-    tmp = f"{real}.{os.urandom(4).hex()}.tmp"
+    if os.path.exists(path):
+        open(path, "ab").close()  # a target we may not write fails as before
+    tmp = f"{path}.{os.urandom(4).hex()}.tmp"
     try:
         fh = open(tmp, mode.replace("w", "x"))
     except OSError as exc:  # name the target, not the new file
         raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with fh:
-            if os.path.exists(real):
-                shutil.copymode(real, tmp)
+            if os.path.exists(path):
+                shutil.copymode(path, tmp)
             yield fh
-        os.replace(tmp, real)
+        os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -421,6 +422,17 @@ def test_output_through_a_symlink_writes_its_target(tmp_path, capsys):
     assert run(capsys, "table", "--max-n", "3", "--format", "csv", "-o", str(link))[0] == 0
     assert link.is_symlink() and real.read_text().startswith("n,f_n,")
     assert sorted(os.listdir(tmp_path)) == ["link.csv", "real.csv"]
+
+
+@pytest.mark.parametrize("binary", [False, True])
+def test_output_to_dev_stdout_reaches_a_pipe(binary):
+    env = {**os.environ, "PYTHONPATH": str(Path(rfw.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "rfw.cli", "export", "-n", "5", "-o", "/dev/stdout",
+         *["--binary"] * binary], capture_output=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    read = WordSet.read_binary if binary else lambda fh: WordSet.read_text(io.TextIOWrapper(fh))
+    assert read(io.BytesIO(proc.stdout)) == enumerate_A(5)
 
 
 def test_a_failed_write_leaves_the_target_untouched(tmp_path, capsys, monkeypatch):

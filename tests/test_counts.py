@@ -4,6 +4,7 @@ import os
 import sys
 import threading
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -236,8 +237,6 @@ def all_ones(nbytes):
 @pytest.fixture
 def irfft_calls(monkeypatch):
     """Counts the transforms `_mul` runs: one irfft per product it takes."""
-    import numpy as np
-
     calls = []
     real = np.fft.irfft
 
@@ -321,8 +320,6 @@ def test_longer_products_are_left_to_cpython(monkeypatch, irfft_calls):
 
 
 def test_a_coefficient_off_the_integers_falls_back_to_cpython(monkeypatch, irfft_calls):
-    import numpy as np
-
     spied = np.fft.irfft
 
     def off(*args, **kwargs):
