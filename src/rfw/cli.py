@@ -61,7 +61,8 @@ def _output(path, mode: str = "w"):
         with open(path, mode) as fh:
             yield fh
         return
-    if os.path.exists(path):
+    replacing = os.path.exists(path)
+    if replacing:
         open(path, "ab").close()  # a target we may not write fails as before
     tmp = f"{path}.{os.urandom(4).hex()}.tmp"
     try:
@@ -70,7 +71,7 @@ def _output(path, mode: str = "w"):
         raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with fh:
-            if os.path.exists(path):
+            if replacing:
                 shutil.copymode(path, tmp)
             yield fh
         os.replace(tmp, path)
