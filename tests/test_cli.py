@@ -89,6 +89,19 @@ def test_entropy_bad_tol(capsys):
     assert code == 2
 
 
+def test_entropy_tol_bounds_the_printed_limit(capsys):
+    code, out, _ = run(capsys, "entropy", "--tol", "1e-6", "--max-n", "3")
+    assert code == 0
+    assert out.startswith("entropy limit      : 0.444399\ngrowth rate exp(h) : 1.559552\n")
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0.5", "0", "1e-13", "1e-15"])
+def test_entropy_rejected_tol_is_one_line(capsys, tol):
+    code, out, err = run(capsys, "entropy", f"--tol={tol}")
+    assert (code, out) == (2, "")
+    assert err == f"entropy: tolerance {float(tol)} outside [1e-12, 1e-2]\n"
+
+
 # At the default item cap the gap row n = 9 stops the command after every
 # log-growth row: F_9 needs --item-cap 2^29.
 ITEM_CAP_F9 = "entropy: windowed F_9 projects 272490624 candidates, above item cap 67108864\n"
