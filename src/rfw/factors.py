@@ -23,7 +23,7 @@ import numpy as np
 from .inflation import (DEFAULT_ITEM_CAP, MAX_ENUMERATED, ItemCapError,
                         VerifyResult, check_capacity, enumerate_A, halves)
 from .words import Word, fib
-from .wordset import WordSet, _distinct, slice_packed
+from .wordset import WordSet, _distinct, _member, slice_packed
 
 # Stabilization generation used to define F_n for n <= 3: factor sets of
 # length <= f_3 = 2 are empirically constant from generation 5 on; we use
@@ -161,8 +161,7 @@ def verify_superset(n: int, *, reversed_form: bool = False) -> VerifyResult:
     a_n = enumerate_A(n)
     if reversed_form:
         a_n = a_n.reverse()
-    rhs = _superset_rhs(n)
-    inside = np.isin(a_n.packed, rhs.packed, assume_unique=True)
+    inside = _member(_superset_rhs(n).packed, a_n.packed)
     if inside.all():
         return VerifyResult(True)
     w = Word(int(a_n.packed[int(np.argmin(inside))]), a_n.length)

@@ -22,12 +22,12 @@ import random
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .words import CapacityError, Word, fibs
-from .wordset import WordSet, pack_rows, slice_packed
+from .wordset import WordSet, _member, pack_rows, reverse_packed, slice_packed
 
 DEFAULT_BUDGET = 10**8
 DEFAULT_ITEM_CAP = 1 << 26
@@ -218,16 +218,11 @@ def membership(n: int) -> Callable[[np.ndarray], np.ndarray]:
     """
     check_chain(n)
     if n <= MAX_ENUMERATED:
-        return _lookup(enumerate_A(n))
-    orders = [(u.length, _lookup(u), _lookup(v)) for u, v in halves(n)]
+        return partial(_member, enumerate_A(n).packed)
+    orders = [(u.length, u.packed, v.packed) for u, v in halves(n)]
     return lambda words: np.logical_or.reduce(
-        [first(slice_packed(words, 1, cut)) & second(words >> np.uint64(cut))
+        [_member(first, slice_packed(words, 1, cut)) & _member(second, words >> np.uint64(cut))
          for cut, first, second in orders])
-
-
-def _lookup(s: WordSet) -> Callable[[np.ndarray], np.ndarray]:
-    a = s.packed  # nonempty: s is a generation or a half of one
-    return lambda words: a[np.minimum(np.searchsorted(a, words), len(a) - 1)] == words
 
 
 # --- counting ---------------------------------------------------------
@@ -416,8 +411,8 @@ def verify_palindromic(n: int) -> VerifyResult:
     a = enumerate_A(n)
     if a.reverse() == a:
         return VerifyResult(True)
-    missing = next(w for w in a if w.reverse() not in a)
-    return VerifyResult(False, f"reverse({missing}) not in A_{n}")
+    first = np.argmin(_member(a.packed, reverse_packed(a.packed, a.length)))
+    return VerifyResult(False, f"reverse({Word(int(a.packed[first]), a.length)}) not in A_{n}")
 
 
 def verify_overlap(n: int) -> VerifyResult:

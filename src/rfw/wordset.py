@@ -90,6 +90,17 @@ def _distinct(chunks: Iterable[np.ndarray], width: int) -> np.ndarray:
     return out
 
 
+def _member(canonical: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """Which uint64 `words` lie in `canonical`, a strictly increasing uint64 array.
+
+    The one membership kernel: a binary search per word, clamped to the last
+    entry.  Fast on sorted or short queries; on millions of unsorted ones a sort wins.
+    """
+    if len(canonical) == 0:
+        return np.zeros(np.shape(words), dtype=bool)
+    return canonical[np.minimum(np.searchsorted(canonical, words), len(canonical) - 1)] == words
+
+
 def _check_length(length: int) -> None:
     if not 0 <= length <= WORD_CAPACITY:
         raise CapacityError(f"word length {length} outside [0, {WORD_CAPACITY}]")
@@ -183,13 +194,10 @@ class WordSet:
             yield Word(int(bits), self.length)
 
     def __contains__(self, w: Word) -> bool:
-        if w.length != self.length:
-            return False
-        i = int(np.searchsorted(self._packed, np.uint64(w.bits)))
-        return i < len(self._packed) and self._packed[i] == np.uint64(w.bits)
+        return w.length == self.length and bool(_member(self._packed, np.uint64(w.bits)))
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, WordSet):
+        if other.__class__ is not self.__class__:
             return NotImplemented
         return self.length == other.length and np.array_equal(self._packed, other._packed)
 
@@ -205,15 +213,13 @@ class WordSet:
     def intersection(self, other: "WordSet") -> "WordSet":
         if self.length != other.length:
             raise ValueError("intersection of sets with different word lengths")
-        return WordSet.from_packed(self.length,
-                                   np.intersect1d(self._packed, other._packed,
-                                                  assume_unique=True),
+        return WordSet.from_packed(self.length, self._packed[_member(other._packed, self._packed)],
                                    canonical=True)
 
     def issubset(self, other: "WordSet") -> bool:
         if self.length != other.length:
             return len(self) == 0
-        return bool(np.isin(self._packed, other._packed, assume_unique=True).all())
+        return bool(_member(other._packed, self._packed).all())
 
     def product(self, other: "WordSet") -> "WordSet":
         """Set of all concatenations uv with u from self, v from other.

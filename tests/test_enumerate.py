@@ -3,8 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from rfw import (BudgetError, CapacityError, Word, count_A_explicit,
-                 enumerate_A, verify_overlap, verify_palindromic)
+from rfw import (BudgetError, CapacityError, Word, WordSet, count_A_explicit,
+                 enumerate_A, inflation, verify_overlap, verify_palindromic)
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "rfw"
 
@@ -100,6 +100,16 @@ def test_only_enumerate_A_reads_the_budget():
 @pytest.mark.parametrize("n", range(1, 10))
 def test_palindromic_closure(n):
     assert verify_palindromic(n).ok
+
+
+def test_palindromic_witness_is_the_first_word_whose_reverse_is_missing(monkeypatch):
+    # Without 01011 and 10110, both 11010 (packed 11) and 01101 (packed 22)
+    # lose their reverse; the canonical order puts 11010 first.
+    kept = [w for w in enumerate_A(5) if str(w) not in {"01011", "10110"}]
+    monkeypatch.setattr(inflation, "enumerate_A", lambda n: WordSet(5, kept))
+    res = verify_palindromic(5)
+    assert not res.ok
+    assert res.witness == "reverse(11010) not in A_5"
 
 
 @pytest.mark.parametrize("n", range(4, 9))

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from rfw import (Word, WordSet, c_stat, enumerate_A, factor_set,
-                 factor_set_Fn, fa_next_count, fib, format_c,
+                 factor_set_Fn, fa_next_count, factors, fib, format_c,
                  verify_factor_stability, verify_Fn_bound,
                  verify_prefix_stability, verify_slice_bound, verify_superset)
 
@@ -142,7 +142,20 @@ def test_factor_stability_examples():
 def test_factor_stability_fails_below_four():
     res = verify_factor_stability(3, 2)
     assert not res.ok
-    assert res.witness is not None
+    assert res.witness == "F(A_4,f_3) != F(A_5,f_3), e.g. 00"
+
+
+@pytest.mark.parametrize("reversed_form", [False, True])
+def test_superset_witness_is_the_first_escaping_word(monkeypatch, reversed_form):
+    # 11010 (packed 11) comes before 01011 (packed 26) in canonical order,
+    # though not in string order; A_5 is its own reverse.
+    real = factors._superset_rhs(5)
+    dropped = {Word.parse("01011").bits, Word.parse("11010").bits}
+    kept = [x for x in real.packed.tolist() if x not in dropped]
+    monkeypatch.setattr(factors, "_superset_rhs", lambda n: WordSet.from_packed(real.length, kept))
+    res = verify_superset(5, reversed_form=reversed_form)
+    assert not res.ok
+    assert res.witness == f"11010 in A_5 escapes the superset (reversed={reversed_form})"
 
 
 @pytest.mark.parametrize("n", [0, -1])

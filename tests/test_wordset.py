@@ -1,4 +1,4 @@
-"""WordSet operations against a Python-set oracle, and a guard on the dedup kernel.
+"""WordSet operations against a Python-set oracle, and guards on the set kernels.
 
 Every packed-array fast path is checked against the slow path it replaced:
 plain Python sets of ints, bit by bit.
@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rfw import WordSet, enumerate_A, factor_set, wordset
+from rfw import Word, WordSet, enumerate_A, factor_set, wordset
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "rfw"
 
@@ -62,13 +62,29 @@ def test_from_packed(case):
     assert WordSet.from_packed(ws.length, ws.packed, canonical=True) == ws
 
 
-@given(two_sets())
-def test_union_intersection_issubset(case):
+@given(two_sets(), st.data())
+def test_union_intersection_issubset(case, data):
     (s, a), (t, b) = case
     assert members(s.union(t)) == sorted(a | b)
     assert members(s.intersection(t)) == sorted(a & b)
     assert s.issubset(t) == (a <= b)
     assert s.issubset(s.union(t))
+    # Unsorted, repeated queries, with each member's neighbours: below the
+    # minimum, above the maximum and between members.
+    top = (1 << s.length) - 1
+    near = {0, top} | {x - 1 for x in a | b if x} | {x + 1 for x in a | b if x < top}
+    words = np.concatenate([data.draw(packed_words(s.length)),
+                            np.array(sorted(near), dtype=np.uint64)])
+    # The kernel is also asked for 2^64 - 1 whatever the length.  As a set,
+    # `near` holds values 1 apart, up to 2^64 - 1 at length 64.
+    queries = np.append(words, np.uint64((1 << 64) - 1))
+    assert all(Word(x, s.length) in s for x in a)
+    dense = WordSet.from_packed(s.length, sorted(near))
+    for ws, oracle in ((s, a), (t, b), (dense, near), (WordSet(s.length), set())):
+        assert [Word(x, s.length) in ws for x in words.tolist()] == [
+            x in oracle for x in words.tolist()]
+        assert wordset._member(ws.packed, queries).tolist() == [
+            x in oracle for x in queries.tolist()]
 
 
 @given(st.integers(0, 64).flatmap(
@@ -227,12 +243,15 @@ def test_union_on_either_path_of_distinct(width, items, path):
     assert np.array_equal(a.packed, before[0]) and np.array_equal(b.packed, before[1])
 
 
-# --- guards on the dedup kernel -----------------------------------------
+# --- guards on the dedup and membership kernels ---------------------------
 
 # numpy >= 2.3 deduplicates by hashing in these; on packed words that is
-# 35-90x slower than the sort in WordSet's kernel.
-HASHING = {"unique", "union1d"}
-HASHING_UNLESS_UNIQUE = {"intersect1d", "setxor1d"}
+# 35-90x slower than the sort in WordSet's kernel.  `isin` and `in1d` (and
+# so `intersect1d`) pick a value table, a Python loop or a sort by their own
+# heuristics, whatever `assume_unique` says; membership goes through
+# `wordset._member`.  Only `setxor1d`, for failure witnesses, is left.
+HASHING = {"unique", "union1d", "isin", "in1d", "intersect1d"}
+HASHING_UNLESS_UNIQUE = {"setxor1d"}
 
 
 def _called_name(call):
@@ -259,9 +278,13 @@ def hashing_calls(source):
 def test_guard_sees_hashing_calls():
     source = ("np.unique(x)\nnp.union1d(a, b)\nnp.intersect1d(a, b)\n"
               "np.setxor1d(a, b, assume_unique=False)\n"
-              "np.intersect1d(a, b, assume_unique=True)\n")
+              "np.intersect1d(a, b, assume_unique=True)\n"
+              "np.isin(a, b)\nnp.isin(a, b, assume_unique=True)\n"
+              "np.in1d(a, b, assume_unique=True)\nisin(a, b)\n"
+              "np.setxor1d(a, b, assume_unique=True)\n")
     assert hashing_calls(source) == [
-        "line 1: unique", "line 2: union1d", "line 3: intersect1d", "line 4: setxor1d"]
+        "line 1: unique", "line 2: union1d", "line 3: intersect1d", "line 4: setxor1d",
+        "line 5: intersect1d", "line 6: isin", "line 7: isin", "line 8: in1d", "line 9: isin"]
 
 
 def test_library_never_dedups_by_hashing():
