@@ -27,7 +27,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .words import CapacityError, Word, fibs
-from .wordset import WordSet, _member, pack_rows, reverse_packed, slice_packed
+from .wordset import WordSet, _member, _union_of_products, pack_rows, reverse_packed, slice_packed
 
 DEFAULT_BUDGET = 10**8
 DEFAULT_ITEM_CAP = 1 << 26
@@ -198,7 +198,7 @@ def _enumerate(n: int) -> WordSet:
     if n == 2:
         return WordSet(1, [Word.parse("1")])
     big, small = _enumerate(n - 1), _enumerate(n - 2)
-    return big.product(small).union(small.product(big))
+    return _union_of_products([(big, small), (small, big)])
 
 
 def halves(n: int) -> tuple[tuple[WordSet, WordSet], ...]:

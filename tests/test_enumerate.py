@@ -40,6 +40,12 @@ def test_canonical_order_is_ascending_packed_value():
     assert (packed[1:] > packed[:-1]).all()
 
 
+@pytest.mark.parametrize("n", range(3, 10))
+def test_one_buffer_matches_the_union_of_two_products(n):
+    big, small = enumerate_A(n - 1), enumerate_A(n - 2)
+    assert enumerate_A(n) == big.product(small).union(small.product(big))
+
+
 def test_membership():
     a5 = enumerate_A(5)
     assert Word.parse("01011") in a5

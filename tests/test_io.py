@@ -92,6 +92,29 @@ def test_binary_rejects_non_increasing_words(words):
         WordSet.read_binary(_binary_file(3, words))
 
 
+def test_binary_reports_high_bits_before_order():
+    with pytest.raises(ValueError, match="bits above"):
+        WordSet.read_binary(_binary_file(3, [8, 1]))
+
+
+def test_binary_reads_an_empty_set():
+    ws = WordSet.read_binary(_binary_file(5, []))
+    assert ws == WordSet(5) and len(ws) == 0
+
+
+def test_binary_read_is_read_only():
+    for words in ([], [0, 5, 7]):
+        assert not WordSet.read_binary(_binary_file(3, words)).packed.flags.writeable
+
+
+def test_binary_write_is_header_then_little_endian_words():
+    ws = enumerate_A(7)
+    buf = io.BytesIO()
+    ws.write_binary(buf)
+    header = struct.pack("<4sBBI", b"RFW1", 1, ws.length, len(ws))
+    assert buf.getvalue() == header + ws.packed.astype("<u8").tobytes()
+
+
 def test_binary_rejects_overlong_words():
     with pytest.raises(ValueError):
         WordSet.read_binary(_binary_file(65, [1]))

@@ -172,25 +172,46 @@ def expected_path(items, width):
     return "table" if width <= wordset._TABLE_BITS and 8 * items >= 1 << width else "sort"
 
 
-def random_chunks(rng, width, items, parts):
+def random_chunks(rng, width, items, parts, runs=0):
     """`items` values below 2^width with many duplicates and both edge values,
-    split into `parts` chunks at random points; also the Python-set oracle."""
+    split into `parts` chunks at random points; also the Python-set oracle.
+    With `runs`, each chunk is that many strictly increasing runs, which
+    repeat values across runs, as A_n's two products do."""
     top = (1 << width) - 1
     pool = np.concatenate([[0, top], rng.integers(0, top, max(items // 2, 1), endpoint=True,
                                                   dtype=np.uint64)]).astype(np.uint64)
     values = rng.choice(pool, items)
     cuts = np.sort(rng.integers(0, items, parts - 1, endpoint=True))
-    return [c.copy() for c in np.split(values, cuts)], sorted(set(values.tolist()))
+    chunks = [c.copy() for c in np.split(values, cuts)]
+    if runs:
+        chunks = [np.concatenate([sorted(set(r.tolist())) for r in np.array_split(c, runs)]
+                                 ).astype(np.uint64) for c in chunks]
+    return chunks, sorted(set(values.tolist()))
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(1, 30), st.integers(-3, 3), st.integers(1, 5), st.integers(0, 2**32 - 1))
-def test_distinct_matches_set_oracle(width, offset, parts, seed):
+@given(st.integers(1, 30), st.integers(-3, 3), st.integers(1, 5), st.integers(0, 2**32 - 1),
+       st.one_of(st.just(0), st.integers(1, 40)))
+def test_distinct_matches_set_oracle(width, offset, parts, seed, runs):
     # Item counts straddle the table threshold 2^width / 8 while that stays
-    # small; above 2^17 values the counts are kept small (sort path).
+    # small; above 2^17 values the counts are kept small (sort path).  With
+    # `runs`, chunks are sorted runs, so the sort path merges the few-run
+    # ones by a stable sort and quicksorts the rest.
     items = max((1 << width) // 8 + offset, 0) if width <= 17 else 200 + offset
-    chunks, oracle = random_chunks(np.random.default_rng(seed), width, items, parts)
+    chunks, oracle = random_chunks(np.random.default_rng(seed), width, items, parts, runs)
+    items = sum(map(len, chunks))  # runs drop the repeats within each run
     assert distinct_with_path(chunks, width) == (oracle, expected_path(items, width))
+
+
+@pytest.mark.parametrize("runs,kinds", [(1, []), (2, ["stable"]), (4, ["stable"]),
+                                        (5, ["quicksort"]), (40, ["quicksort"])])
+def test_distinct_merges_a_few_runs_by_a_stable_sort(monkeypatch, runs, kinds):
+    chunks, oracle = random_chunks(np.random.default_rng(runs), 40, 400, 1, runs)
+    sorts, dedup = [], wordset._dedup
+    monkeypatch.setattr(wordset, "_dedup",
+                        lambda owned, kind="quicksort": sorts.append(kind) or dedup(owned, kind))
+    assert distinct_with_path(chunks, 40) == (oracle, "sort")
+    assert sorts == kinds
 
 
 @pytest.mark.parametrize("items", [(1 << 19) - 1, 1 << 19])
