@@ -230,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="rfw",
         description="Inflated random Fibonacci words: enumeration, factor sets, "
                     "entropy, and brute-force verification.")
-    parser.add_argument("--item-cap", type=_at_least(1), default=inflation.DEFAULT_ITEM_CAP,
+    parser.add_argument("--item-cap", type=_at_least(1), default=factors.DEFAULT_ITEM_CAP,
                         help="max candidate items a factor construction may project "
                              "(default 2^26; raise for n = 9)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -263,17 +263,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="assert each sample is a member of the enumerated set")
     p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("factors", help="write the factor set F_n")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-o", "--output", default=None)
-    p.add_argument("--binary", action="store_true")
-    p.set_defaults(func=cmd_factors)
-
-    p = sub.add_parser("export", help="write the inflated-word set A_n")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-o", "--output", default=None)
-    p.add_argument("--binary", action="store_true")
-    p.set_defaults(func=cmd_export)
+    for name, text, func in (("factors", "write the factor set F_n", cmd_factors),
+                             ("export", "write the inflated-word set A_n", cmd_export)):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("-n", type=int, required=True)
+        p.add_argument("-o", "--output", default=None)
+        p.add_argument("--binary", action="store_true")
+        p.set_defaults(func=func)
     return parser
 
 

@@ -20,8 +20,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .inflation import (DEFAULT_ITEM_CAP, MAX_ENUMERATED, ItemCapError,
-                        VerifyResult, check_capacity, enumerate_A, halves)
+from .inflation import (MAX_ENUMERATED, BudgetError, VerifyResult, check_capacity,
+                        enumerate_A, halves)
 from .words import Word, fib
 from .wordset import WordSet, _distinct, _member, slice_packed
 
@@ -29,6 +29,12 @@ from .wordset import WordSet, _distinct, _member, slice_packed
 # length <= f_3 = 2 are empirically constant from generation 5 on; we use
 # generation 7 and assert agreement with generation 8 in the test suite.
 _SMALL_N_SOURCE = 7
+
+DEFAULT_ITEM_CAP = 1 << 26
+
+
+class ItemCapError(BudgetError):
+    """A construction would materialize more candidates than the item cap."""
 
 
 @dataclass
@@ -71,6 +77,12 @@ def factor_set(s: WordSet, ell: int) -> WordSet:
         raise IndexError(f"factor length {ell} outside [1, {s.length}]")
     windows = (slice_packed(s.packed, k, k + ell - 1) for k in range(1, s.length - ell + 2))
     return WordSet.from_packed(ell, _distinct(windows, ell), canonical=True)
+
+
+@lru_cache(maxsize=None)
+def _next_factors(n: int) -> WordSet:
+    """F(A_{n+1}, f_n) by direct scan: each A_m's windows are read once."""
+    return factor_set(enumerate_A(n + 1), fib(n))
 
 
 @lru_cache(maxsize=16)
@@ -132,8 +144,8 @@ def verify_prefix_stability(n: int, k: int) -> VerifyResult:
     """Prefix and suffix slice sets of A_n persist into A_{n+k}."""
     if n < 3 or k < 0:
         raise ValueError(f"prefix stability needs n >= 3, k >= 0, got ({n}, {k})")
-    f_n, f_nk = fib(n), fib(n + k)
     a_n, a_nk = enumerate_A(n), enumerate_A(n + k)
+    f_n, f_nk = fib(n), fib(n + k)
     prefix_ok = a_n.slices(1, f_n - 1) == a_nk.slices(1, f_n - 1)
     if not prefix_ok:
         return VerifyResult(False, f"prefix sets A_{n}[1,{f_n - 1}] != A_{n + k}[1,{f_n - 1}]")
@@ -171,14 +183,15 @@ def verify_superset(n: int, *, reversed_form: bool = False) -> VerifyResult:
 def verify_factor_stability(n: int, k: int) -> VerifyResult:
     """F(A_{n+1}, f_n) = F(A_{n+k}, f_n), both by direct sliding windows.
 
+    The right side is read off F(A_{n+k}, f_{n+k-1}): F(F(S, l'), l) = F(S, l).
     Holds for n >= 4, k >= 1; at n = 3 it genuinely fails (the factor 00
     only appears from generation 5 on), which callers may assert.
     """
     if n < 1 or k < 1:
         raise ValueError(f"factor stability needs n >= 1, k >= 1, got ({n}, {k})")
+    first = _next_factors(n)
     f_n = fib(n)
-    first = factor_set(enumerate_A(n + 1), f_n)
-    later = factor_set(enumerate_A(n + k), f_n)
+    later = factor_set(_next_factors(n + k - 1), f_n)
     if first == later:
         return VerifyResult(True)
     diff = np.setxor1d(first.packed, later.packed, assume_unique=True)
@@ -220,7 +233,7 @@ def fa_next_count(n: int, item_cap: int = DEFAULT_ITEM_CAP) -> int:
     if n < 1:
         raise ValueError(f"F(A_{{n+1}}, f_n) needs n >= 1, got {n}")
     if n + 1 <= MAX_ENUMERATED:
-        return len(factor_set(enumerate_A(n + 1), fib(n)))
+        return len(_next_factors(n))
     return len(factor_set_Fn(n, item_cap))
 
 
@@ -229,11 +242,8 @@ def build_report(n: int, item_cap: int = DEFAULT_ITEM_CAP) -> FactorReport:
     a_count = len(enumerate_A(n))
     if n == 0:
         return FactorReport(0, 0, a_count, None, None, None)
-    f_count = len(factor_set_Fn(n, item_cap))
-    fa_next = fa_next_count(n, item_cap)
-    if n < 3:
-        return FactorReport(n, fib(n), a_count, f_count, fa_next, None)
-    return FactorReport(n, fib(n), a_count, f_count, fa_next, c_stat(n))
+    return FactorReport(n, fib(n), a_count, len(factor_set_Fn(n, item_cap)),
+                        fa_next_count(n, item_cap), c_stat(n) if n >= 3 else None)
 
 
 def table_rows(max_n: int, item_cap: int = DEFAULT_ITEM_CAP) -> list[FactorReport]:

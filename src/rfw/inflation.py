@@ -30,7 +30,6 @@ from .words import CapacityError, Word, fibs
 from .wordset import WordSet, _member, _union_of_products, pack_rows, reverse_packed, slice_packed
 
 DEFAULT_BUDGET = 10**8
-DEFAULT_ITEM_CAP = 1 << 26
 
 #: Largest generation whose words fit 64 symbols (f_10 = 55 <= 64 < 89 = f_11).
 MAX_GENERATION = 10
@@ -40,10 +39,6 @@ MAX_ENUMERATED = MAX_GENERATION - 1
 
 class BudgetError(RuntimeError):
     """A requested enumeration would exceed the fixed element budget, DEFAULT_BUDGET."""
-
-
-class ItemCapError(BudgetError):
-    """A construction would materialize more candidates than the item cap."""
 
 
 @dataclass
@@ -85,8 +80,6 @@ class PrngHandle:
         one call reads the stream k calls of `random()` would, and the same
         float arithmetic gives the same comparisons.
         """
-        if k == 0:
-            return np.zeros(0, dtype=bool)
         words = self._rng.getrandbits(64 * k).to_bytes(8 * k, "little")
         a, b = np.frombuffer(words, dtype="<u4").reshape(k, 2).T
         return ((a >> 5) * 67108864.0 + (b >> 6)) * (1.0 / 9007199254740992.0) < p

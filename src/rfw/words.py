@@ -22,10 +22,7 @@ def fib(n: int) -> int:
     """n-th Fibonacci number with f_0 = 0, f_1 = 1.  Exact for any n."""
     if n < 0:
         raise ValueError(f"fib requires n >= 0, got {n}")
-    a, b = 0, 1
-    for _ in range(n):
-        a, b = b, a + b
-    return a
+    return fibs(n)[n]
 
 
 def fibs(n: int) -> list[int]:
@@ -36,6 +33,11 @@ def fibs(n: int) -> list[int]:
     return f[:n + 1]
 
 
+def _check_length(length: int) -> None:
+    if not 0 <= length <= WORD_CAPACITY:
+        raise CapacityError(f"word length {length} outside [0, {WORD_CAPACITY}]")
+
+
 @dataclass(frozen=True)
 class Word:
     """A binary word of up to 64 symbols, packed LSB-first."""
@@ -44,8 +46,7 @@ class Word:
     length: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.length <= WORD_CAPACITY:
-            raise CapacityError(f"word length {self.length} outside [0, {WORD_CAPACITY}]")
+        _check_length(self.length)
         if self.bits < 0 or self.bits >> self.length:
             raise ValueError("bits outside the declared length")
 

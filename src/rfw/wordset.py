@@ -18,7 +18,7 @@ from typing import IO, Iterable, Iterator
 
 import numpy as np
 
-from .words import WORD_CAPACITY, CapacityError, Word
+from .words import WORD_CAPACITY, CapacityError, Word, _check_length
 
 # Bit-reversal table for one byte, used by the vectorized word reversal.
 _REV8 = np.array([int(f"{i:08b}"[::-1], 2) for i in range(256)], dtype=np.uint8)
@@ -112,11 +112,6 @@ def _member(canonical: np.ndarray, words: np.ndarray) -> np.ndarray:
     if len(canonical) == 0:
         return np.zeros(np.shape(words), dtype=bool)
     return canonical[np.minimum(np.searchsorted(canonical, words), len(canonical) - 1)] == words
-
-
-def _check_length(length: int) -> None:
-    if not 0 <= length <= WORD_CAPACITY:
-        raise CapacityError(f"word length {length} outside [0, {WORD_CAPACITY}]")
 
 
 def _check_fits(packed: np.ndarray, length: int) -> None:

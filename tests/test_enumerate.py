@@ -103,6 +103,51 @@ def test_only_enumerate_A_reads_the_budget():
     assert found == []
 
 
+ITEM_CAP_NAMES = {"DEFAULT_ITEM_CAP", "ItemCapError"}
+
+
+def item_cap_names(source):
+    """(line, name, bound) for each place `source` names DEFAULT_ITEM_CAP or
+    ItemCapError; `bound` is True where it defines one (an assignment, class
+    or def) or imports one from any module but `factors`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            hits = [(node.name, True)]
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            name = node.id if isinstance(node, ast.Name) else node.attr
+            hits = [(name, not isinstance(node.ctx, ast.Load))]
+        elif isinstance(node, ast.ImportFrom):
+            owner = (node.module or "").rsplit(".", 1)[-1] == "factors"
+            hits = [(alias.name, not owner) for alias in node.names]
+        else:
+            continue
+        found += [(node.lineno, name, bound) for name, bound in hits if name in ITEM_CAP_NAMES]
+    return sorted(found)
+
+
+def test_guard_sees_item_cap_bindings():
+    source = ("from .factors import DEFAULT_ITEM_CAP\n"
+              "from .inflation import ItemCapError\n"
+              "DEFAULT_ITEM_CAP = 1 << 26\n"
+              "class ItemCapError(BudgetError):\n    pass\n"
+              "x = factors.DEFAULT_ITEM_CAP\n"
+              "inflation.ItemCapError = None\n"
+              "def f(cap=DEFAULT_ITEM_CAP):\n    raise ItemCapError\n")
+    assert item_cap_names(source) == [
+        (1, "DEFAULT_ITEM_CAP", False), (2, "ItemCapError", True),
+        (3, "DEFAULT_ITEM_CAP", True), (4, "ItemCapError", True),
+        (6, "DEFAULT_ITEM_CAP", False), (7, "ItemCapError", True),
+        (8, "DEFAULT_ITEM_CAP", False), (9, "ItemCapError", False)]
+
+
+def test_only_factors_binds_the_item_cap():
+    names = {path.name: item_cap_names(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    bound = {(file, name) for file, found in names.items() for _, name, b in found if b}
+    assert bound == {("factors.py", "DEFAULT_ITEM_CAP"), ("factors.py", "ItemCapError")}
+    assert names["inflation.py"] == []
+
+
 @pytest.mark.parametrize("n", range(1, 10))
 def test_palindromic_closure(n):
     assert verify_palindromic(n).ok

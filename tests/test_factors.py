@@ -1,7 +1,9 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from rfw import cli
 from rfw import (Word, WordSet, c_stat, enumerate_A, factor_set,
                  factor_set_Fn, fa_next_count, factors, fib, format_c,
                  verify_factor_stability, verify_Fn_bound,
@@ -143,6 +145,29 @@ def test_factor_stability_fails_below_four():
     res = verify_factor_stability(3, 2)
     assert not res.ok
     assert res.witness == "F(A_4,f_3) != F(A_5,f_3), e.g. 00"
+
+
+def test_verify_scans_each_generation_once(monkeypatch, capsys):
+    # F(A_{n+k}, f_n) is read off F(A_{n+k}, f_{n+k-1}), so each A_m's windows
+    # are scanned once per process, and the table's F(A_9, f_8) is one of them.
+    factors._next_factors.cache_clear()
+    generation = {id(enumerate_A(m)): m for m in range(1, 10)}
+    scans = Counter()
+    real = factors.factor_set
+
+    def counting(s, ell):
+        scans[generation.get(id(s))] += 1
+        return real(s, ell)
+
+    monkeypatch.setattr(factors, "factor_set", counting)
+    assert cli.main(["verify", "--prop", "factor-stability,factor-instability-n3"]) == 0
+    assert "11/11 checks passed" in capsys.readouterr().out
+    by_generation = {m: c for m, c in scans.items() if m is not None}
+    assert set(by_generation) == set(range(4, 10))
+    assert max(by_generation.values()) == 1
+    before = scans.copy()
+    assert fa_next_count(8) == len(factor_set_Fn(8))
+    assert scans == before
 
 
 @pytest.mark.parametrize("reversed_form", [False, True])

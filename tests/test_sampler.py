@@ -118,6 +118,15 @@ def test_coins_are_the_coin_stream(p, seed, k):
     assert batch.coin(p) == oracle.coin(p)
 
 
+@pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+def test_no_coins_leave_the_stream_where_it_was(p):
+    handle, fresh = PrngHandle(11), PrngHandle(11)
+    coins = handle.coins(p, 0)
+    assert coins.dtype == bool and coins.shape == (0,)
+    assert handle.coin(p) == fresh.coin(p)
+    assert [handle.coin(0.5) for _ in range(8)] == [fresh.coin(0.5) for _ in range(8)]
+
+
 @given(SEED, st.integers(0, 20))
 def test_a_draw_equal_to_p_is_tails(seed, k):
     # `coin` is `random() < p`, so the draw that equals p must come out False.
