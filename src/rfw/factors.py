@@ -23,7 +23,7 @@ import numpy as np
 from .inflation import (MAX_ENUMERATED, BudgetError, VerifyResult, check_capacity,
                         enumerate_A, halves)
 from .words import Word, fib
-from .wordset import WordSet, _distinct, _member, slice_packed
+from .wordset import WordSet, _distinct, _member, _windows
 
 # Stabilization generation used to define F_n for n <= 3: factor sets of
 # length <= f_3 = 2 are empirically constant from generation 5 on; we use
@@ -75,7 +75,7 @@ def factor_set(s: WordSet, ell: int) -> WordSet:
     """All distinct length-ell factors of the members of s, by sliding window."""
     if not 1 <= ell <= s.length:
         raise IndexError(f"factor length {ell} outside [1, {s.length}]")
-    windows = (slice_packed(s.packed, k, k + ell - 1) for k in range(1, s.length - ell + 2))
+    windows = _windows(s.packed, range(1, s.length - ell + 2), ell)
     return WordSet.from_packed(ell, _distinct(windows, ell), canonical=True)
 
 
@@ -140,16 +140,28 @@ def c_stat(n: int) -> Fraction:
 # --- proposition verifiers -------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _edges(m: int) -> tuple[WordSet, WordSet]:
+    """(A_m[1, f_{m-1}-1], A_m[f_m-f_{m-1}+2, f_m]): each A_m's edges are read once."""
+    a, f = enumerate_A(m), fib(m - 1)
+    return a.slices(1, f - 1), a.slices(a.length - f + 2, a.length)
+
+
 def verify_prefix_stability(n: int, k: int) -> VerifyResult:
-    """Prefix and suffix slice sets of A_n persist into A_{n+k}."""
+    """Prefix and suffix slice sets of A_n persist into A_{n+k}.
+
+    For k >= 1 those of A_{n+k}, f_n - 1 symbols long, are read off its
+    `_edges`, f_{n+k-1} - 1 >= f_n - 1 symbols long: a slice of a slice set
+    is a slice of the set.
+    """
     if n < 3 or k < 0:
         raise ValueError(f"prefix stability needs n >= 3, k >= 0, got ({n}, {k})")
-    a_n, a_nk = enumerate_A(n), enumerate_A(n + k)
-    f_n, f_nk = fib(n), fib(n + k)
-    prefix_ok = a_n.slices(1, f_n - 1) == a_nk.slices(1, f_n - 1)
+    a_n, f_n = enumerate_A(n), fib(n)
+    head, tail = _edges(n + k) if k else (a_n, a_n)
+    prefix_ok = a_n.slices(1, f_n - 1) == head.slices(1, f_n - 1)
     if not prefix_ok:
         return VerifyResult(False, f"prefix sets A_{n}[1,{f_n - 1}] != A_{n + k}[1,{f_n - 1}]")
-    suffix_ok = a_n.slices(2, f_n) == a_nk.slices(f_nk - f_n + 2, f_nk)
+    suffix_ok = a_n.slices(2, f_n) == tail.slices(tail.length - f_n + 2, tail.length)
     if not suffix_ok:
         return VerifyResult(False, f"suffix sets of A_{n} and A_{n + k} differ")
     return VerifyResult(True)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -270,10 +271,21 @@ _MUL_MIN_BITS = 32_000
 _MUL_MAX_LEN = 1 << 25
 
 
+def _smooth(top: int) -> list[int]:
+    """Every 2^a 3^b 5^c <= top, ascending."""
+    out = [1]
+    for p in (2, 3, 5):
+        out = [x * p**e for x in out for e in range(top.bit_length()) if x * p**e <= top]
+    return sorted(out)
+
+
+#: The lengths pocketfft does fast, up to twice the longest transform.
+_FFT_LENS = _smooth(2 * _MUL_MAX_LEN)
+
+
 def _fft_len(n: int) -> int:
-    """The least 2^a 3^b 5^c >= n (n >= 1), a length pocketfft does fast."""
-    odd = (3**i * 5**j for i in range(n.bit_length()) for j in range(n.bit_length()))
-    return min(p << (-(-n // p) - 1).bit_length() for p in odd)
+    """The least 2^a 3^b 5^c >= n, for 1 <= n <= 2 _MUL_MAX_LEN."""
+    return _FFT_LENS[bisect_left(_FFT_LENS, n)]
 
 
 def _mul(a: int, b: int) -> int:
@@ -305,6 +317,16 @@ def _mul(a: int, b: int) -> int:
     # sum_k c_k 256^k, read as byte j of every c_k shifted by 8j: linear passes.
     return sum(int.from_bytes(limbs[:, j].tobytes(), "little") << 8 * j
                for j in range(((min(la, lb) * 255**2).bit_length() + 7) // 8))
+
+
+def _pow(b: int, e: int) -> int:
+    """b ** e for e >= 0 by squaring through `_mul`; the small factor b is left to `*`."""
+    out = 1
+    for bit in bin(e)[2:]:
+        out = _mul(out, out)
+        if bit == "1":
+            out *= b
+    return out
 
 
 def _grown(step, n: int) -> tuple[int, int]:
@@ -357,7 +379,7 @@ def _explicit(n: int) -> int:
     f = fibs(n)
     for i in range(2, n):
         b, e = _split(n - i)
-        odd = _mul(odd, b ** f[i - 2])
+        odd = _mul(odd, _pow(b, f[i - 2]))
         twos += e * f[i - 2]
     return odd << twos
 

@@ -22,7 +22,10 @@ def fib(n: int) -> int:
     """n-th Fibonacci number with f_0 = 0, f_1 = 1.  Exact for any n."""
     if n < 0:
         raise ValueError(f"fib requires n >= 0, got {n}")
-    return fibs(n)[n]
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
 
 
 def fibs(n: int) -> list[int]:

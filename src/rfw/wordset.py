@@ -14,17 +14,18 @@ path hashes.
 from __future__ import annotations
 
 import struct
+from functools import cache
 from typing import IO, Iterable, Iterator
 
 import numpy as np
 
 from .words import WORD_CAPACITY, CapacityError, Word, _check_length
 
-# Bit-reversal table for one byte, used by the vectorized word reversal.
-_REV8 = np.array([int(f"{i:08b}"[::-1], 2) for i in range(256)], dtype=np.uint8)
-
 # Widest words `_distinct` marks in a table: 2^24 one-byte flags, 16 MB.
 _TABLE_BITS = 24
+
+# Words per block when windows are marked in the table: 2^17 words, 1 MB.
+_BLOCK = 1 << 17
 
 # Most sorted runs in a chunk that `_distinct` sorts stable, merging the runs:
 # on 5.8M words that beats quicksort 1.8x at two runs and loses from eight on.
@@ -126,13 +127,37 @@ def slice_packed(packed: np.ndarray, a: int, b: int) -> np.ndarray:
     return out
 
 
+def _windows(packed: np.ndarray, starts: range, width: int) -> Iterator[np.ndarray]:
+    """w[a, a+width-1] for every start a and every packed word w, as chunks for `_distinct`.
+
+    Where `_distinct` marks them in its table (by its own rule: width <=
+    `_TABLE_BITS` and 2^width bytes in all), the words are read a block of
+    `_BLOCK` at a time, every start before the next block, so a block is
+    read from cache.  Otherwise each start gives one chunk of all the words,
+    since every chunk the sort path takes costs it a merge.
+    """
+    table = width <= _TABLE_BITS and 8 * len(packed) * len(starts) >= 1 << width
+    step = _BLOCK if table else max(len(packed), 1)
+    for lo in range(0, len(packed), step):
+        block = packed[lo:lo + step]
+        for a in starts:
+            yield slice_packed(block, a, a + width - 1)
+
+
+@cache
+def _rev16() -> np.ndarray:
+    """The bit reversal of every 16-bit value: 128 KB, built by the first reversal."""
+    rev8 = np.array([int(f"{i:08b}"[::-1], 2) for i in range(256)], dtype=np.uint16)
+    return np.bitwise_or.outer(rev8, rev8 << 8).ravel()  # index hi * 256 + lo
+
+
 def reverse_packed(packed: np.ndarray, length: int) -> np.ndarray:
     """Reverse every word in a packed array; not deduplicated."""
     if length == 0:
         return packed.copy()
-    as_bytes = np.ascontiguousarray(packed).view(np.uint8).reshape(-1, 8)
-    # Indexing, not `np.take`: take would copy the uint8 indices to intp first.
-    rev = _REV8[as_bytes[:, ::-1]].view(np.uint64).ravel()
+    as_u16 = np.ascontiguousarray(packed).view(np.uint16).reshape(-1, 4)
+    # Indexing, not `np.take`: take would copy the uint16 indices to intp first.
+    rev = _rev16()[as_u16[:, ::-1]].view(np.uint64).ravel()
     rev >>= np.uint64(WORD_CAPACITY - length)
     return rev
 
@@ -271,8 +296,8 @@ class WordSet:
             n = min(len(self._packed), 1)
             return WordSet.from_packed(0, np.zeros(n, dtype=np.uint64), canonical=True)
         width = b - a + 1
-        return WordSet.from_packed(width, _distinct([slice_packed(self._packed, a, b)], width),
-                                   canonical=True)
+        return WordSet.from_packed(width, _distinct(_windows(self._packed, range(a, a + 1), width),
+                                                    width), canonical=True)
 
     def reverse(self) -> "WordSet":
         rev = reverse_packed(self._packed, self.length)

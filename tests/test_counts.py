@@ -352,3 +352,32 @@ def test_the_loop_oracles_drive_the_fft_branch(irfft_calls, route):
     clear_caches()
     assert [route(n) for n in range(TOP + 1)] == [oracle(route, n) for n in range(TOP + 1)]
     assert irfft_calls, f"{route.__name__} never took the FFT branch up to n = {TOP}"
+
+
+def min_scan_fft_len(n):
+    """The least 2^a 3^b 5^c >= n by scanning every 3^i 5^j: the slow path of `_fft_len`."""
+    odd = (3**i * 5**j for i in range(n.bit_length()) for j in range(n.bit_length()))
+    return min(p << (-(-n // p) - 1).bit_length() for p in odd)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.integers(1, 5000), st.integers(1, 2 * inflation._MUL_MAX_LEN)))
+@example(2 * inflation._MUL_MAX_LEN)
+@example(inflation._MUL_MAX_LEN + 1)
+def test_fft_len_bisect_matches_the_min_scan(n):
+    assert inflation._fft_len(n) == min_scan_fft_len(n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 40), st.integers(0, 3 * BIG))
+@example(3, 2 * BIG)
+@example(39, 3 * BIG)
+def test_pow_by_squaring_is_the_plain_power(b, e):
+    assert inflation._pow(b, e) == b**e
+
+
+def test_explicit_route_squares_through_mul(irfft_calls):
+    # |A_30| needs 3^f_27 = 3^196418, about 311,000 bits: past the crossover.
+    clear_caches()
+    assert count_A_explicit(30) == explicit_loop(30)
+    assert irfft_calls

@@ -1,6 +1,7 @@
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from rfw import cli
@@ -128,6 +129,54 @@ def test_prefix_stability_examples():
                                  for k in range(1, 10 - n)])
 def test_prefix_stability_full_range(n, k):
     assert verify_prefix_stability(n, k).ok
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(3, 10) for k in range(0, 10 - n)])
+def test_prefix_stability_through_the_edges_matches_the_direct_slices(n, k):
+    a_n, a_nk, f_n, f_nk = enumerate_A(n), enumerate_A(n + k), fib(n), fib(n + k)
+    direct = (a_n.slices(1, f_n - 1) == a_nk.slices(1, f_n - 1)
+              and a_n.slices(2, f_n) == a_nk.slices(f_nk - f_n + 2, f_nk))
+    assert verify_prefix_stability(n, k).ok == direct
+    if k:
+        f_prev = fib(n + k - 1)
+        head, tail = factors._edges(n + k)
+        assert head == a_nk.slices(1, f_prev - 1)
+        assert tail == a_nk.slices(f_nk - f_prev + 2, f_nk)
+        assert head.slices(1, f_n - 1) == a_nk.slices(1, f_n - 1)
+        assert tail.slices(tail.length - f_n + 2, tail.length) == a_nk.slices(f_nk - f_n + 2, f_nk)
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+@pytest.mark.parametrize("side", [0, 1])
+def test_prefix_stability_sees_a_changed_edge(monkeypatch, n, side):
+    # One of A_7's edge sets, less every word that shows the first word's
+    # f_n - 1 symbols where the check reads them: A_n against A_7 fails.
+    edges = list(factors._edges(7))
+    edge, width = edges[side], fib(n) - 1
+    read = (edge.packed & np.uint64((1 << width) - 1) if side == 0
+            else edge.packed >> np.uint64(edge.length - width))
+    edges[side] = WordSet.from_packed(edge.length, edge.packed[read != read[0]], canonical=True)
+    monkeypatch.setattr(factors, "_edges", lambda m: tuple(edges) if m == 7 else None)
+    res = verify_prefix_stability(n, 7 - n)
+    assert not res.ok
+    assert res.witness == (f"prefix sets A_{n}[1,{width}] != A_7[1,{width}]" if side == 0
+                           else f"suffix sets of A_{n} and A_7 differ")
+
+
+def test_verify_reads_each_generation_edges_once(monkeypatch, capsys):
+    factors._edges.cache_clear()
+    a9 = enumerate_A(9)
+    calls = Counter()
+    real = WordSet.slices
+
+    def counting(self, a, b):
+        calls[self is a9] += 1
+        return real(self, a, b)
+
+    monkeypatch.setattr(WordSet, "slices", counting)
+    assert cli.main(["verify", "--max-n", "8", "--prop", "prefix-stability"]) == 0
+    assert "21/21 checks passed" in capsys.readouterr().out
+    assert calls[True] <= 2
 
 
 def test_superset_examples():

@@ -63,3 +63,11 @@ def test_read_binary_holds_one_word_array(a9):
     got, peak = traced_peak(lambda: WordSet.read_binary(fh))
     assert got == a9
     assert peak <= 1.15 * a9.packed.nbytes
+
+
+@pytest.mark.parametrize("run", [lambda ws: factor_set(ws, 21), lambda ws: ws.slices(1, 20)],
+                         ids=["factor_set_21", "slices_1_20"])
+def test_a_table_pass_over_A9_reads_it_in_blocks(a9, run):
+    # Windows marked in a table are read a block at a time, never as a word array.
+    _, peak = traced_peak(lambda: run(a9))
+    assert peak <= 0.25 * a9.packed.nbytes

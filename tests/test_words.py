@@ -1,8 +1,11 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from rfw import CapacityError, Word, fib
+from rfw.words import fibs
 
 words = st.text(alphabet="01", max_size=64).map(Word.parse)
 
@@ -13,6 +16,17 @@ def test_fib_values():
     assert fib(9) == 34
     assert fib(10) == 55
     assert [fib(n) for n in range(8)] == [0, 1, 1, 2, 3, 5, 8, 13]
+
+
+def test_fib_holds_two_terms():
+    assert all(fib(n) == fibs(n)[n] for n in range(301))
+    tracemalloc.start()
+    try:
+        fib(20000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_fib_rejects_negative():

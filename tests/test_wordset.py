@@ -264,6 +264,70 @@ def test_union_on_either_path_of_distinct(width, items, path):
     assert np.array_equal(a.packed, before[0]) and np.array_equal(b.packed, before[1])
 
 
+# --- blocked windows and the reversal table, against the slow paths --------
+
+
+def per_window(packed, starts, width):
+    """The slow path: every window of every word, one sort, a neighbour compare."""
+    every = np.sort(np.concatenate([np.empty(0, dtype=np.uint64)] + [
+        wordset.slice_packed(packed, a, a + width - 1) for a in starts]))
+    keep = np.ones(len(every), dtype=bool)
+    keep[1:] = every[1:] != every[:-1]
+    return every[keep].tolist()
+
+
+class ChunkSpy:
+    """Wraps `_distinct`, recording the length of every chunk it is given."""
+
+    def __init__(self, real):
+        self.real, self.sizes = real, []
+
+    def __call__(self, chunks, width):
+        return self.real((self.sizes.append(len(c)) or c for c in chunks), width)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 64).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n),
+                                                      st.integers(1, n))),
+       st.integers(0, 300), st.sampled_from([6, wordset._TABLE_BITS]), st.integers(0, 2**32 - 1))
+def test_blocked_windows_match_a_per_window_sort(shape, count, table_bits, seed):
+    # Blocks of 7 words, so a set spans many; with a table cap of 6 too, widths
+    # fall on both sides of the cap, and counts put the totals on both sides
+    # of the byte rule.
+    length, width, a = shape
+    a = min(a, length - width + 1)
+    words = np.random.default_rng(seed).integers(0, 1 << length, count, dtype=np.uint64)
+    ws = WordSet.from_packed(length, words)
+    offsets = range(1, length - width + 2)
+    cases = [(factor_set, (ws, width), "factors", offsets),
+             (ws.slices, (a, a + width - 1), "wordset", range(a, a + 1))]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wordset, "_BLOCK", 7)
+        mp.setattr(wordset, "_TABLE_BITS", table_bits)
+        for run, args, module, starts in cases:
+            spy = ChunkSpy(wordset._distinct)
+            mp.setattr(f"rfw.{module}._distinct", spy)
+            got, path = with_path(run, *args)
+            assert members(got) == per_window(ws.packed, starts, width)
+            assert path == expected_path(len(ws) * len(starts), width)
+            assert sum(spy.sizes) == len(ws) * len(starts)
+            if path == "table":
+                assert max(spy.sizes, default=0) <= 7
+            else:
+                assert spy.sizes == [len(ws)] * len(starts) if len(ws) else spy.sizes == []
+
+
+@pytest.mark.parametrize("length", range(65))
+def test_reverse_packed_matches_string_reversal(length):
+    top = (1 << length) - 1
+    rng = np.random.default_rng(length)
+    words = np.concatenate([np.array([0, top, top >> 1, top ^ 1 if length else 0],
+                                     dtype=np.uint64),
+                            rng.integers(0, 1 << length, 300, dtype=np.uint64)])
+    expected = [int(format(x, f"0{length}b")[::-1], 2) if length else 0 for x in words.tolist()]
+    assert wordset.reverse_packed(words, length).tolist() == expected
+
+
 # --- guards on the dedup and membership kernels ---------------------------
 
 # numpy >= 2.3 deduplicates by hashing in these; on packed words that is
