@@ -23,7 +23,7 @@ import numpy as np
 from .inflation import (MAX_ENUMERATED, BudgetError, VerifyResult, check_capacity,
                         enumerate_A, halves)
 from .words import Word, fib
-from .wordset import WordSet, _distinct, _member, _windows
+from .wordset import WordSet, _distinct, _member, _suffix_counts, _windows
 
 # Stabilization generation used to define F_n for n <= 3: factor sets of
 # length <= f_3 = 2 are empirically constant from generation 5 on; we use
@@ -122,18 +122,21 @@ def factor_set_Fn(n: int, item_cap: int = DEFAULT_ITEM_CAP) -> WordSet:
 
 
 @lru_cache(maxsize=None)
-def _cut_products(n: int) -> list[tuple[int, int, int]]:
-    """(k, |A_n[1,k]|, |A_n[k+1,f_n]|) for every cut point k."""
+def _cut_counts(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """|A_n[1,k]| and |A_n[k+1,f_n]| for the cuts k = 1..f_n-1, each from one sorted array.
+
+    Prefixes are counted on the reversed set, sorted: `verify` checks reversal closure.
+    """
     a = enumerate_A(n)
-    return [(k, len(a.slices(1, k)), len(a.slices(k + 1, a.length)))
-            for k in range(1, a.length)]
+    heads = _suffix_counts(a.reverse().packed, a.length)[1:-1]
+    return tuple(heads.tolist()), tuple(_suffix_counts(a.packed, a.length)[-2:0:-1].tolist())
 
 
 def c_stat(n: int) -> Fraction:
     """max_k |A_n[1,k]| |A_n[k+1,f_n]| / |A_n| as a reduced exact rational."""
     if n < 3:
         raise ValueError(f"c_n needs n >= 3, got {n}")
-    best = max(pre * suf for _, pre, suf in _cut_products(n))
+    best = max(pre * suf for pre, suf in zip(*_cut_counts(n)))
     return Fraction(best, len(enumerate_A(n)))
 
 
@@ -216,7 +219,7 @@ def verify_slice_bound(n: int) -> VerifyResult:
     if n < 3:
         raise ValueError(f"slice bound needs n >= 3, got {n}")
     bound = 4 ** (n - 2) * len(enumerate_A(n))
-    for k, pre, suf in _cut_products(n):
+    for k, (pre, suf) in enumerate(zip(*_cut_counts(n)), start=1):
         if pre * suf > bound:
             return VerifyResult(False, f"cut k = {k}: {pre} * {suf} > {bound}")
     return VerifyResult(True)

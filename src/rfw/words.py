@@ -3,8 +3,9 @@
 Words over the alphabet {0,1} of length at most 64 are stored as a single
 unsigned integer plus an explicit symbol count.  The symbol at 1-based
 position i sits at bit i-1 (least significant bit first), so extracting a
-prefix is a mask and extracting a suffix is a shift.  All operations are
-pure; Word values are immutable and hashable.
+prefix is a mask and extracting a suffix is a shift.  A Word is immutable
+and hashable; slicing, reversal and concatenation work on whole sets, in
+`wordset`.
 """
 
 from __future__ import annotations
@@ -74,36 +75,6 @@ class Word:
 
     def __len__(self) -> int:
         return self.length
-
-    def symbol(self, i: int) -> int:
-        """Symbol at 1-based position i."""
-        if not 1 <= i <= self.length:
-            raise IndexError(f"position {i} outside [1, {self.length}]")
-        return self.bits >> (i - 1) & 1
-
-    def slice(self, a: int, b: int) -> "Word":
-        """Sub-word at 1-based positions [a, b]; a = b + 1 gives the empty word."""
-        if not (1 <= a <= b + 1 <= self.length + 1):
-            raise IndexError(f"slice [{a}, {b}] outside word of length {self.length}")
-        n = b - a + 1
-        return Word(self.bits >> (a - 1) & ((1 << n) - 1), n)
-
-    def reverse(self) -> "Word":
-        bits = 0
-        for i in range(self.length):
-            if self.bits >> i & 1:
-                bits |= 1 << (self.length - 1 - i)
-        return Word(bits, self.length)
-
-    def concat(self, other: "Word") -> "Word":
-        if self.length + other.length > WORD_CAPACITY:
-            raise CapacityError(
-                f"concatenation of {self.length} + {other.length} symbols exceeds capacity"
-            )
-        return Word(self.bits | other.bits << self.length, self.length + other.length)
-
-    def __add__(self, other: "Word") -> "Word":
-        return self.concat(other)
 
 
 EMPTY = Word(0, 0)

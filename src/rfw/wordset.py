@@ -24,7 +24,7 @@ from .words import WORD_CAPACITY, CapacityError, Word, _check_length
 # Widest words `_distinct` marks in a table: 2^24 one-byte flags, 16 MB.
 _TABLE_BITS = 24
 
-# Words per block when windows are marked in the table: 2^17 words, 1 MB.
+# Words (or `_suffix_counts` pairs) per block of windows marked in the table: 2^17, 1 MB.
 _BLOCK = 1 << 17
 
 # Most sorted runs in a chunk that `_distinct` sorts stable, merging the runs:
@@ -113,6 +113,30 @@ def _member(canonical: np.ndarray, words: np.ndarray) -> np.ndarray:
     if len(canonical) == 0:
         return np.zeros(np.shape(words), dtype=bool)
     return canonical[np.minimum(np.searchsorted(canonical, words), len(canonical) - 1)] == words
+
+
+def _suffix_counts(canonical: np.ndarray, length: int) -> np.ndarray:
+    """Distinct length-j suffixes of `canonical`'s `length`-symbol words, j = 0..length.
+
+    Sorted words sort by their last symbols, the high bits, so each pair of
+    neighbours adds one suffix at every length past its highest differing bit,
+    found by `frexp` of the xor's two 32-bit halves, each exact as a float.
+    Pairs are read `_BLOCK` at a time; j = 0 counts 1 for a non-empty set, as `slices` does.
+    """
+    past = np.zeros(length + 1, dtype=np.int64)
+    for lo in range(0, len(canonical) - 1, _BLOCK):
+        block = canonical[lo:lo + _BLOCK + 1]
+        diff = block[1:] ^ block[:-1]
+        half = np.empty(len(diff))
+        top, low = np.empty_like(diff, np.int32), np.empty_like(diff, np.int32)
+        np.frexp(np.bitwise_and(diff, np.uint64(0xFFFFFFFF << 32), out=half, casting="unsafe"),
+                 out=(half, top))
+        np.frexp(np.bitwise_and(diff, np.uint64(0xFFFFFFFF), out=half, casting="unsafe"),
+                 out=(half, low))
+        np.maximum(top, low, out=top)  # bit lengths of the xors
+        del diff, half, low  # bincount copies `top` to intp
+        past += np.bincount(np.subtract(length + 1, top, out=top), minlength=length + 1)
+    return np.cumsum(past) + min(len(canonical), 1)
 
 
 def _check_fits(packed: np.ndarray, length: int) -> None:

@@ -1,3 +1,4 @@
+import os
 from collections import Counter
 from fractions import Fraction
 
@@ -9,6 +10,9 @@ from rfw import (Word, WordSet, c_stat, enumerate_A, factor_set,
                  factor_set_Fn, fa_next_count, factors, fib, format_c,
                  verify_factor_stability, verify_Fn_bound,
                  verify_prefix_stability, verify_slice_bound, verify_superset)
+from rfw.inflation import VerifyResult
+
+HEAVY = os.environ.get("RFW_HEAVY") == "1"
 
 F_A6_F5 = """00101 00110 00111 01001 01010 01011 01100 01101 01110 01111
 10010 10011 10100 10101 10110 10111 11001 11010 11011 11100
@@ -115,6 +119,23 @@ def test_c3_exact():
 def test_c_at_least_one():
     for n in range(3, 9):
         assert c_stat(n) >= 1
+
+
+def per_cut_slice_sizes(n):
+    """(|A_n[1,k]|, |A_n[k+1,f_n]|) for k = 1..f_n-1, each slice set built and counted."""
+    a = enumerate_A(n)
+    return (tuple(len(a.slices(1, k)) for k in range(1, a.length)),
+            tuple(len(a.slices(k + 1, a.length)) for k in range(1, a.length)))
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_cut_counts_match_the_slice_sets(n):
+    assert factors._cut_counts(n) == per_cut_slice_sizes(n)
+
+
+@pytest.mark.skipif(not HEAVY, reason="heavy tier: set RFW_HEAVY=1")
+def test_cut_counts_match_the_slice_sets_at_n9():
+    assert factors._cut_counts(9) == per_cut_slice_sizes(9)
 
 
 # --- proposition verifiers -------------------------------------------
@@ -243,6 +264,30 @@ def test_generation_below_one_is_a_value_error(check, n):
 @pytest.mark.parametrize("n", range(3, 10))
 def test_slice_bound(n):
     assert verify_slice_bound(n).ok
+
+
+@pytest.fixture
+def doubled_words_as_A3(monkeypatch):
+    """A_3 replaced by {uu : u in {0,1}^3}: at cut k = 3, 8 * 8 > 4^1 * 8."""
+    doubled = WordSet.from_packed(6, [u | u << 3 for u in range(8)])
+    real = factors.enumerate_A
+    monkeypatch.setattr(factors, "enumerate_A", lambda n: doubled if n == 3 else real(n))
+    factors._cut_counts.cache_clear()
+    yield
+    factors._cut_counts.cache_clear()
+
+
+def test_slice_bound_names_the_first_broken_cut(doubled_words_as_A3):
+    assert verify_slice_bound(3) == VerifyResult(False, "cut k = 3: 8 * 8 > 32")
+
+
+def test_verify_prints_the_broken_cut_and_exits_1(doubled_words_as_A3, capsys):
+    code = cli.main(["verify", "--max-n", "3", "--prop", "cut-bound"])
+    assert code == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "FAIL  cut-bound              n=3  [cut k = 3: 8 * 8 > 32]",
+        "PASS  cut-bound              n=4",
+        "1/2 checks passed"]
 
 
 @pytest.mark.parametrize("n", range(3, 9))

@@ -28,7 +28,7 @@ def test_output_length_rule():
     rng = PrngHandle(3)
     w = Word.parse("0110101")
     out = inflate_step(w, 0.5, rng)
-    ones = sum(w.symbol(i) for i in range(1, len(w) + 1))
+    ones = w.bits.bit_count()
     assert len(out) == (len(w) - ones) + 2 * ones
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rfw import Word, WordSet, enumerate_A, factor_set, wordset
@@ -328,6 +328,31 @@ def test_reverse_packed_matches_string_reversal(length):
     assert wordset.reverse_packed(words, length).tolist() == expected
 
 
+# Words 2^e - 1 and 2^e with e >= 53: their xors round up as one float64, so
+# their highest bits are exact only half by half.
+wide_words = st.lists(st.one_of(st.integers(53, 64).map(lambda e: (1 << e) - 1),
+                                st.integers(53, 63).map(lambda e: 1 << e),
+                                st.integers(0, 2**64 - 1)), max_size=20)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(word_set().map(lambda case: case[0]),
+                 wide_words.map(lambda xs: WordSet.from_packed(64, xs))),
+       st.sampled_from([1, 2, 3, 7]))
+@example(WordSet(5), 2)
+@example(WordSet.from_packed(7, [0b1011001]), 1)
+@example(WordSet.from_packed(64, [0, (1 << 54) - 1, 1 << 54]), 1)
+def test_suffix_counts_match_per_length_slices(ws, block):
+    # Blocks of a few pairs, so the pairs straddle every block boundary.
+    n, reversed_words = ws.length, ws.reverse().packed
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wordset, "_BLOCK", block)
+        suffixes = wordset._suffix_counts(ws.packed, n).tolist()
+        prefixes = wordset._suffix_counts(reversed_words, n).tolist()
+    assert suffixes == [len(ws.slices(n - j + 1, n)) for j in range(n + 1)]
+    assert prefixes == [len(ws.slices(1, j)) for j in range(n + 1)]
+
+
 # --- guards on the dedup and membership kernels ---------------------------
 
 # numpy >= 2.3 deduplicates by hashing in these; on packed words that is
@@ -435,4 +460,25 @@ def test_guard_sees_dedup_calls_outside_distinct():
 def test_only_distinct_calls_the_sort():
     found = [f"{path.name} line {line}" for path in sorted(SRC.glob("*.py"))
              for line in dedup_calls_outside_distinct(path.read_text())]
+    assert found == []
+
+
+# A slice set built only to take its len() costs a dedup of the whole set;
+# `wordset._suffix_counts` counts every prefix or suffix length of a set at once.
+def counted_slice_sets(source):
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call) and _called_name(node) == "len"
+                  and len(node.args) == 1 and isinstance(node.args[0], ast.Call)
+                  and _called_name(node.args[0]) == "slices")
+
+
+def test_guard_sees_counted_slice_sets():
+    source = ("len(a.slices(1, k))\nlen(a)\na.slices(1, 2)\n"
+              "n = len(enumerate_A(9).slices(2, 3))\nlen(slices(a))\nlen([a.slices(1, 2)])\n")
+    assert counted_slice_sets(source) == [1, 4, 5]
+
+
+def test_library_never_counts_a_slice_set():
+    found = [f"{path.name} line {line}" for path in sorted(SRC.glob("*.py"))
+             for line in counted_slice_sets(path.read_text())]
     assert found == []
