@@ -85,20 +85,13 @@ def _next_factors(n: int) -> WordSet:
     return factor_set(enumerate_A(n + 1), fib(n))
 
 
-@lru_cache(maxsize=16)
-def _factor_set_Fn_cached(n: int, item_cap: int) -> WordSet:
+@lru_cache(maxsize=None)
+def _factor_set_Fn_cached(n: int) -> WordSet:
     f = fib(n)
     if n <= 3:
         return factor_set(enumerate_A(_SMALL_N_SOURCE), f)
-    orders = halves(n + 1)
-    pieces = [(u.slices(k, u.length), v.slices(1, k - 1 + f - u.length))
-              for k in range(1, fib(n - 1) + 2) for u, v in orders]
-    projected = sum(len(suf) * len(pre) for suf, pre in pieces)
-    if projected > item_cap:
-        raise ItemCapError(
-            f"windowed F_{n} projects {projected} candidates, above item cap {item_cap}"
-        )
-    products = (suf.product(pre).packed for suf, pre in pieces)
+    products = (u.slices(k, u.length).product(v.slices(1, k - 1 + f - u.length)).packed
+                for k in range(1, fib(n - 1) + 2) for u, v in halves(n + 1))
     return WordSet.from_packed(f, _distinct(products, f), canonical=True)
 
 
@@ -107,15 +100,26 @@ def factor_set_Fn(n: int, item_cap: int = DEFAULT_ITEM_CAP) -> WordSet:
 
     For n >= 4 this is the union over both `halves(n + 1)` (u, v) and
     k = 1..f_{n-1}+1 of the windows u[k, |u|] v[1, k-1+f_n-|u|], as the
-    module docstring describes (A_{n+1} is never materialized).  For n <= 3
-    factor stability does not apply and F_n is read off the generation-7
-    factors instead.  A generation beyond MAX_GENERATION is rejected before
-    any of its 2 (f_{n-1} + 1) windows is listed.
+    module docstring describes (A_{n+1} is never materialized).  Their sizes,
+    read off the cut counts of A_n and A_{n-1}, must project at most
+    `item_cap` candidates before a window is cut.  For n <= 3 F_n is read off
+    the generation-7 factors, as factor stability does not apply.  A generation
+    beyond MAX_GENERATION is rejected before any of its windows is listed.
     """
     if n < 1:
         raise ValueError(f"F_n needs n >= 1, got {n}")
     check_capacity(n)
-    return _factor_set_Fn_cached(n, item_cap)
+    if n >= 4:
+        cuts = {}  # word length: |A_m[1, c]| and |A_m[c+1, f_m]| for c = 0..f_m
+        for m in (n, n - 1):
+            (heads, tails), whole = _cut_counts(m), len(enumerate_A(m))
+            cuts[fib(m)] = (1, *heads, whole), (whole, *tails, 1)
+        projected = sum(cuts[u.length][1][c] * cuts[v.length][0][c + fib(n) - u.length]
+                        for c in range(fib(n - 1) + 1) for u, v in halves(n + 1))
+        if projected > item_cap:
+            raise ItemCapError(
+                f"windowed F_{n} projects {projected} candidates, above item cap {item_cap}")
+    return _factor_set_Fn_cached(n)
 
 
 # --- cut statistics ---------------------------------------------------

@@ -1,10 +1,12 @@
 """Acceptance suite: one test per criterion, one PASS line printed each.
 
-Criteria touching F_9 (the ~3e8-candidate windowed construction) form the
-heavy tier and only run when RFW_HEAVY=1 is set; everything else stays
-under a couple of minutes.  Run the heavy tier with:
+Criteria touching F_9 (the ~3e8-candidate windowed construction) are marked
+`heavy` and run only when RFW_HEAVY=1 is set (see `tests/conftest.py`);
+everything else stays under a couple of minutes.  Run the whole heavy tier,
+these criteria with the other files' heavy tests (the F9.bin golden row and
+the n = 9 cut counts among them), with:
 
-    RFW_HEAVY=1 pytest tests/test_acceptance.py -s
+    RFW_HEAVY=1 pytest -m heavy -s
 """
 
 import io
@@ -14,9 +16,6 @@ import os
 import pytest
 
 import rfw
-
-HEAVY = os.environ.get("RFW_HEAVY") == "1"
-heavy = pytest.mark.skipif(not HEAVY, reason="heavy tier: set RFW_HEAVY=1")
 
 HEAVY_ITEM_CAP = 1 << 29
 
@@ -48,7 +47,7 @@ def test_criterion_1_table_fast_tier():
     announce(1, "table rows 0..8 exact")
 
 
-@heavy
+@pytest.mark.heavy
 def test_criterion_2_table_heavy_tier():
     row = rfw.build_report(9, item_cap=HEAVY_ITEM_CAP)
     assert row.a_count == 3317760
@@ -66,7 +65,7 @@ def test_criterion_3_counting_agreement():
     announce(3, "three formulas + enumeration agree (n <= 36 here, n <= 44 heavy)")
 
 
-@heavy
+@pytest.mark.heavy
 def test_criterion_3_heavy_gmp_range():
     # GMP arithmetic stretches the agreement check to n = 44 (~1.4e8 digits)
     gmpy2 = pytest.importorskip("gmpy2")
@@ -82,7 +81,7 @@ def test_criterion_3_heavy_gmp_range():
     announce("3-heavy", "cubic recursion = explicit product at n = 44")
 
 
-@heavy
+@pytest.mark.heavy
 def test_criterion_3_heavy_plain_ints():
     # Without gmpy2: the three routes in plain ints, their large products
     # through the FFT kernel.  About 20 s and 250 MB; |A_40| has 6.6e7 bits.
@@ -130,7 +129,7 @@ def test_criterion_5_property_suite():
     announce(5, "props 2, 5, 6, 7, 9, 10 + overlap (n = 9 factor bound in heavy tier)")
 
 
-@heavy
+@pytest.mark.heavy
 def test_criterion_5_heavy_factor_bound():
     assert rfw.verify_Fn_bound(9, item_cap=HEAVY_ITEM_CAP).ok
     announce("5-heavy", "factor-count bound holds at n = 9")
@@ -177,7 +176,7 @@ def test_criterion_9_entropy_gap_decreasing():
     announce(9, f"gap strictly decreasing: {[round(g, 3) for g in gaps]}")
 
 
-@heavy
+@pytest.mark.heavy
 def test_criterion_9_heavy_recomputed():
     gaps = [gap(n, len(rfw.factor_set_Fn(n, item_cap=HEAVY_ITEM_CAP)))
             for n in range(6, 10)]

@@ -1,6 +1,5 @@
 import functools
 import math
-import os
 import sys
 import threading
 
@@ -300,7 +299,7 @@ def test_largest_transform_is_inside_the_rounding_bound():
     assert percival_bound(inflation._MUL_MAX_LEN) < 1 / 8
 
 
-@pytest.mark.skipif(os.environ.get("RFW_HEAVY") != "1", reason="heavy tier: set RFW_HEAVY=1")
+@pytest.mark.heavy
 def test_mul_of_all_ones_at_the_largest_transform(irfft_calls):
     # About 7 s and 1.3 GB: 16 MB factors, a 2^25-point transform.
     la = (inflation._MUL_MAX_LEN + 1) // 2

@@ -1,4 +1,3 @@
-import os
 from collections import Counter
 from fractions import Fraction
 
@@ -6,13 +5,11 @@ import numpy as np
 import pytest
 
 from rfw import cli
-from rfw import (Word, WordSet, c_stat, enumerate_A, factor_set,
-                 factor_set_Fn, fa_next_count, factors, fib, format_c,
+from rfw import (DEFAULT_ITEM_CAP, ItemCapError, Word, WordSet, c_stat, enumerate_A,
+                 factor_set, factor_set_Fn, fa_next_count, factors, fib, format_c,
                  verify_factor_stability, verify_Fn_bound,
                  verify_prefix_stability, verify_slice_bound, verify_superset)
-from rfw.inflation import VerifyResult
-
-HEAVY = os.environ.get("RFW_HEAVY") == "1"
+from rfw.inflation import VerifyResult, halves
 
 F_A6_F5 = """00101 00110 00111 01001 01010 01011 01100 01101 01110 01111
 10010 10011 10100 10101 10110 10111 11001 11010 11011 11100
@@ -87,6 +84,41 @@ def test_windowed_matches_direct_scan(n):
     assert factor_set_Fn(n) == direct
 
 
+def projected_by_slicing(n):
+    """F_n's item-cap projection with every window piece built and counted."""
+    f = fib(n)
+    return sum(len(u.slices(k, u.length)) * len(v.slices(1, k - 1 + f - u.length))
+               for k in range(1, fib(n - 1) + 2) for u, v in halves(n + 1))
+
+
+@pytest.mark.parametrize("n", [*range(4, 9), pytest.param(9, marks=pytest.mark.heavy)])
+def test_Fn_projects_the_sliced_window_count(n):
+    # The cap admits exactly the projected count and refuses one less.
+    projected = projected_by_slicing(n)
+    with pytest.raises(ItemCapError, match=f"^windowed F_{n} projects {projected} candidates, "
+                                           f"above item cap {projected - 1}$"):
+        factor_set_Fn(n, projected - 1)
+    if n < 9:
+        assert factor_set_Fn(n, projected) == factor_set_Fn(n)
+
+
+def test_Fn_checks_its_item_cap_before_cutting_a_window(monkeypatch):
+    def cut(self, a, b):
+        raise AssertionError(f"window [{a}, {b}] cut")
+
+    monkeypatch.setattr(WordSet, "slices", cut)
+    with pytest.raises(ItemCapError, match=f"^windowed F_9 projects 272490624 candidates, "
+                                           f"above item cap {DEFAULT_ITEM_CAP}$"):
+        factor_set_Fn(9)
+
+
+def test_Fn_is_built_once_whatever_the_cap():
+    factors._factor_set_Fn_cached.cache_clear()
+    first = factor_set_Fn(8, 10**7)
+    assert factor_set_Fn(8, 10**8) is first
+    assert factors._factor_set_Fn_cached.cache_info().misses == 1
+
+
 @pytest.mark.parametrize("n", range(3, 9))
 def test_words_are_their_own_factors(n):
     assert enumerate_A(n).issubset(factor_set_Fn(n))
@@ -133,7 +165,7 @@ def test_cut_counts_match_the_slice_sets(n):
     assert factors._cut_counts(n) == per_cut_slice_sizes(n)
 
 
-@pytest.mark.skipif(not HEAVY, reason="heavy tier: set RFW_HEAVY=1")
+@pytest.mark.heavy
 def test_cut_counts_match_the_slice_sets_at_n9():
     assert factors._cut_counts(9) == per_cut_slice_sizes(9)
 

@@ -5,18 +5,15 @@ rows) and maps an argv to its exit code, the sha256 of its stdout and of its
 stderr and, for `-o` runs, the sha256 of the file written.  `{tmp}` in an
 argv is a fresh directory.  A change that is meant to leave every output as
 it was must pass this table unchanged; `-h` is left out, since argparse's
-layout differs between Python versions.  The rows tagged heavy (F_9, about
-25 s and 1.1 GB) run only with RFW_HEAVY=1.
+layout differs between Python versions.  The rows marked heavy (F_9, about
+18 s and 0.9 GB) run only with RFW_HEAVY=1.
 """
 
 import hashlib
-import os
 
 import pytest
 
 from rfw.cli import main
-
-HEAVY = os.environ.get("RFW_HEAVY") == "1"
 
 BENCH_VERIFY_8 = ("reversal,prefix-stability,superset,superset-reversed,"
                   "factor-instability-n3,overlap,factor-bound")
@@ -102,7 +99,7 @@ def test_cli_output_is_pinned(name, tmp_path, capsysbinary):
     assert run_row(argv, files, tmp_path, capsysbinary) == (code, out, err, files)
 
 
-@pytest.mark.skipif(not HEAVY, reason="heavy tier: set RFW_HEAVY=1")
+@pytest.mark.heavy
 @pytest.mark.parametrize("name", sorted(HEAVY_CORPUS))
 def test_heavy_cli_output_is_pinned(name, tmp_path, capsysbinary):
     argv, code, out, err, files = HEAVY_CORPUS[name]

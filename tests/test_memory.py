@@ -1,7 +1,8 @@
 """Peak memory of each pass over A_9, in units of A_9's own packed array.
 
 Each pass holds A_9 (built before the measurement) plus at most one word
-array of scratch, the cut counts behind c_9 included (A_9 reversed);
+array of scratch, the cut counts behind c_9 included (A_9 reversed), and so
+does F_9's refusal at the default item cap, which reads them;
 building A_9 holds its two products in one buffer.
 numpy reports its buffers to tracemalloc, so the traced peak counts them.
 """
@@ -42,10 +43,18 @@ def test_building_A9_holds_its_products_in_one_buffer(a9):
     assert peak <= 3.1 * a9.packed.nbytes
 
 
+def refuse_F9(a9):
+    """F_9 at the default item cap, its cut counts recomputed: refused before a window is cut."""
+    factors._cut_counts.cache_clear()
+    with pytest.raises(factors.ItemCapError):
+        factors.factor_set_Fn(9)
+
+
 @pytest.mark.parametrize("run", [lambda ws: factor_set(ws, 21), WordSet.reverse,
                                  lambda ws: ws.slices(1, 33),
-                                 lambda ws: factors._cut_counts.__wrapped__(9)],
-                         ids=["factor_set_21", "reverse", "slices_1_33", "cut_counts"])
+                                 lambda ws: factors._cut_counts.__wrapped__(9), refuse_F9],
+                         ids=["factor_set_21", "reverse", "slices_1_33", "cut_counts",
+                              "refused_F9"])
 def test_a_pass_over_A9_holds_one_word_array(a9, run):
     _, peak = traced_peak(lambda: run(a9))
     assert peak <= 1.15 * a9.packed.nbytes
