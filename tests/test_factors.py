@@ -107,7 +107,7 @@ def test_Fn_checks_its_item_cap_before_cutting_a_window(monkeypatch):
         raise AssertionError(f"window [{a}, {b}] cut")
 
     monkeypatch.setattr(WordSet, "slices", cut)
-    with pytest.raises(ItemCapError, match=f"^windowed F_9 projects 272490624 candidates, "
+    with pytest.raises(ItemCapError, match="^windowed F_9 projects 272490624 candidates, "
                                            f"above item cap {DEFAULT_ITEM_CAP}$"):
         factor_set_Fn(9)
 
