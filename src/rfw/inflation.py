@@ -28,7 +28,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .words import CapacityError, Word, fibs
-from .wordset import WordSet, _member, _union_of_products, pack_rows, reverse_packed, slice_packed
+from .wordset import WordSet, _both_products, _member, pack_rows, reverse_packed, slice_packed
 
 DEFAULT_BUDGET = 10**8
 
@@ -185,14 +185,14 @@ def enumerate_A(n: int) -> WordSet:
 
 @lru_cache(maxsize=None)
 def _enumerate(n: int) -> WordSet:
+    """A_n, each generation built once: A_{n-1}A_{n-2} and the new words of A_{n-2}A_{n-1}."""
     if n == 0:
         return WordSet(0)
     if n == 1:
         return WordSet(1, [Word.parse("0")])
     if n == 2:
         return WordSet(1, [Word.parse("1")])
-    big, small = _enumerate(n - 1), _enumerate(n - 2)
-    return _union_of_products([(big, small), (small, big)])
+    return _both_products(_enumerate(n - 1), _enumerate(n - 2))
 
 
 def halves(n: int) -> tuple[tuple[WordSet, WordSet], ...]:

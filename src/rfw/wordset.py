@@ -27,8 +27,9 @@ _TABLE_BITS = 24
 # Words (or `_suffix_counts` pairs) per block of windows marked in the table: 2^17, 1 MB.
 _BLOCK = 1 << 17
 
-# Most sorted runs in a chunk that `_distinct` sorts stable, merging the runs:
-# on 5.8M words that beats quicksort 1.8x at two runs and loses from eight on.
+# Most sorted runs in a chunk that `_distinct` sorts stable, merging the runs: on
+# A_9's 3.3M prefixes [1, 33] to [1, 31] that beats quicksort 3.7x at two runs and
+# 2.5x at four, and loses at five random runs of A_9 (0.82x).
 _FEW_RUNS = 4
 
 # Words rendered per block by `write_text`; a block unpacks to 64 bytes a word.
@@ -69,11 +70,12 @@ def _distinct(chunks: Iterable[np.ndarray], width: int) -> np.ndarray:
     unless it already strictly increases as a product's members do, and
     merged into the result so far by a stable sort of their concatenation.
     The count of steps where a chunk fails to rise picks its sort: at most
-    `_FEW_RUNS` sorted runs, such as the products in one buffer that make
-    A_n, are merged by a stable sort; others are quicksorted.  A merge of an
-    r-word result and a c-word chunk holds both, their concatenation, the
-    sort's scratch (the shorter run) and then the compacted copy, up to
-    3(r + c) words: F_9's 44 windows peak near 0.9 GB for a 241 MB result.
+    `_FEW_RUNS` sorted runs, such as a canonical set's words cut short by a
+    symbol or two, are merged by a stable sort; others are quicksorted.  A
+    merge of an r-word result and a c-word chunk holds both, their
+    concatenation, the sort's scratch (the shorter run) and then the
+    compacted copy, up to 3(r + c) words: F_9's 44 windows peak near 0.9 GB
+    for a 241 MB result.
     """
     chunks = iter(chunks)
     head, size = [], 0
@@ -109,10 +111,17 @@ def _member(canonical: np.ndarray, words: np.ndarray) -> np.ndarray:
     """Which uint64 `words` lie in `canonical`, a strictly increasing uint64 array.
 
     The one membership kernel: a binary search per word, clamped to the last
-    entry.  Fast on sorted or short queries; on millions of unsorted ones a sort wins.
+    entry.  Searches in ascending order walk the array in order, so a query
+    longer than `_BLOCK` that ever falls is searched sorted and its answers
+    put back through the argsort: 6x faster on the 3.3M reversed words of A_9.
     """
     if len(canonical) == 0:
         return np.zeros(np.shape(words), dtype=bool)
+    if np.ndim(words) == 1 and len(words) > _BLOCK and (words[1:] < words[:-1]).any():
+        order = np.argsort(words)
+        found = np.empty(len(words), dtype=bool)
+        found[order] = _member(canonical, words[order])
+        return found
     return canonical[np.minimum(np.searchsorted(canonical, words), len(canonical) - 1)] == words
 
 
@@ -187,27 +196,40 @@ def reverse_packed(packed: np.ndarray, length: int) -> np.ndarray:
     return rev
 
 
-def _union_of_products(pairs: list[tuple["WordSet", "WordSet"]]) -> "WordSet":
-    """The set of every uv with u from U and v from V, over the pairs (U, V).
+def _both_products(u: "WordSet", v: "WordSet") -> "WordSet":
+    """u·v ∪ v·u: the product u·v, plus the words of v·u that it lacks.
 
-    Each outer product is written into one buffer.  uv packs as u | v << len(u)
-    with u < 2^len(u), so row v is already ascending and the rows follow v's
-    order: each pair's block strictly increases, and one pair is canonical
-    as it stands.  The pairs must give words of one length.
+    Take |u| >= |v| (the union is symmetric) and d = |u| - |v|.  By the
+    definition of a product set, a word st of v·u (s from v, t from u) lies
+    in u·v iff its first |u| symbols, s then t's first d, lie in u, and its
+    last |v|, t's last |v|, lie in v.  Each test is one `_member` call on a
+    small array: every distinct d-symbol head of u after every s, and every
+    tail of u.  The new words are listed without writing out v·u: t is their
+    high bits, so taking each t's new s in order after the last t's gives them
+    strictly increasing, as u·v is.  `_distinct` merges the two.
     """
-    u, v = pairs[0]
-    length = u.length + v.length
-    if length > WORD_CAPACITY:
-        raise CapacityError(f"product words of {u.length} + {v.length} symbols exceed capacity")
-    out = np.empty(sum(len(u) * len(v) for u, v in pairs), dtype=np.uint64)
-    start = 0
-    for u, v in pairs:
-        block = out[start:start + len(u) * len(v)].reshape(len(v), len(u))
-        np.bitwise_or.outer(v._packed << np.uint64(u.length), u._packed, out=block)
-        start += block.size
-    if len(pairs) > 1:
-        out = _distinct([out], length)
-    return WordSet.from_packed(length, out, canonical=True)
+    if u.length < v.length:
+        u, v = v, u
+    first, d = u.product(v), u.length - v.length
+    heads = u._packed & np.uint64((1 << d) - 1)  # every t's first d symbols
+    prefixes = _distinct([heads.copy()], d)
+    firsts = np.bitwise_or.outer(prefixes << np.uint64(v.length), v._packed).ravel()
+    tail_in_v = _member(v._packed, u._packed >> np.uint64(d))
+    # Row k holds the s that make a new word with a t of head k whose tail is in
+    # v; the last row, every s, serves each t whose tail is not.
+    new = np.ones((len(prefixes) + 1, len(v)), dtype=bool)
+    new[:-1] = ~_member(u._packed, firsts).reshape(len(prefixes), len(v))
+    rows = np.where(tail_in_v, np.searchsorted(prefixes, heads), len(prefixes))
+    listed = np.broadcast_to(v._packed, new.shape)[new]  # the rows' s, one row after another
+    counts = np.count_nonzero(new, axis=1)
+    per_t = counts[rows]
+    starts = np.cumsum(counts) - counts  # of each row in `listed`
+    begins = np.cumsum(per_t) - per_t  # of each t's words among the new ones
+    at = np.repeat(starts[rows] - begins, per_t)
+    at += np.arange(len(at))  # a word's s: its row's start plus its place among its t's
+    rest = np.repeat(u._packed << np.uint64(v.length), per_t) | listed[at]
+    return WordSet.from_packed(first.length, _distinct([first._packed, rest], first.length),
+                               canonical=True)
 
 
 def pack_rows(bits: np.ndarray) -> np.ndarray:
@@ -307,10 +329,16 @@ class WordSet:
     def product(self, other: "WordSet") -> "WordSet":
         """Set of all concatenations uv with u from self, v from other.
 
-        Canonical without a sort (see `_union_of_products`); two canonical
-        operands give no duplicates, since the split point is fixed.
+        One outer product, canonical without a sort: uv packs as u | v << len(u)
+        with u < 2^len(u), so row v ascends and the rows follow v's order.  Two
+        canonical operands give no duplicates, since the split point is fixed.
         """
-        return _union_of_products([(self, other)])
+        length = self.length + other.length
+        if length > WORD_CAPACITY:
+            raise CapacityError(
+                f"product words of {self.length} + {other.length} symbols exceed capacity")
+        out = np.bitwise_or.outer(other._packed << np.uint64(self.length), self._packed)
+        return WordSet.from_packed(length, out.ravel(), canonical=True)
 
     def slices(self, a: int, b: int) -> "WordSet":
         """Distinct sub-words w[a,b] over all members."""

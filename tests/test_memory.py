@@ -2,8 +2,8 @@
 
 Each pass holds A_9 (built before the measurement) plus at most one word
 array of scratch, the cut counts behind c_9 included (A_9 reversed), and so
-does F_9's refusal at the default item cap, which reads them;
-building A_9 holds its two products in one buffer.
+does F_9's refusal at the default item cap, which reads them.  Building A_9
+holds A_8·A_7, the new words of A_7·A_8 and their merge, and sorts no more.
 numpy reports its buffers to tracemalloc, so the traced peak counts them.
 """
 
@@ -13,7 +13,7 @@ from io import BytesIO
 
 import pytest
 
-from rfw import WordSet, enumerate_A, factor_set, factors, inflation
+from rfw import WordSet, enumerate_A, factor_set, factors, inflation, wordset
 
 
 def traced_peak(fn):
@@ -36,11 +36,19 @@ def a9():
     return enumerate_A(9)
 
 
-def test_building_A9_holds_its_products_in_one_buffer(a9):
-    # A_8 and A_7 stay cached; only A_9's own build is traced.
+def test_building_A9_holds_one_product_and_the_merge(a9):
+    # A_8 and A_7 stay cached; only A_9's own build is traced.  Measured 2.26.
     built, peak = traced_peak(lambda: inflation._enumerate.__wrapped__(9))
     assert built == a9
-    assert peak <= 3.1 * a9.packed.nbytes
+    assert peak <= 2.3 * a9.packed.nbytes
+
+
+def test_building_A9_sorts_no_chunk_longer_than_A9(a9, monkeypatch):
+    sorted_sizes, dedup = [], wordset._dedup
+    monkeypatch.setattr(wordset, "_dedup", lambda owned, kind="quicksort":
+                        sorted_sizes.append(len(owned)) or dedup(owned, kind))
+    assert inflation._enumerate.__wrapped__(9) == a9
+    assert sorted_sizes and max(sorted_sizes) <= len(a9)
 
 
 def refuse_F9(a9):

@@ -94,6 +94,66 @@ def test_product(case):
     assert members(s.product(t)) == sorted(u | v << s.length for u in a for v in b)
 
 
+@st.composite
+def sets_sharing_pieces(draw):
+    """(u, v), |u| + |v| <= 64, either one the longer, whose two products share words.
+
+    With |u| >= |v| and d = |u| - |v|, a word st of v·u lies in u·v iff u holds
+    s followed by t's first d symbols and v holds t's last |v|.  So u is drawn
+    from words made of those pieces, a few heads shared by many, and free words.
+    """
+    long = draw(st.integers(0, 64))
+    edge = min(long, 64 - long)  # |u| = |v| up to 32 symbols, |u| + |v| = 64 from 32 on
+    short = draw(st.one_of(st.just(edge), st.integers(0, edge)))
+    d = long - short
+
+    def words(length, most):
+        return draw(st.lists(st.integers(0, (1 << length) - 1), max_size=most))
+
+    v, heads = words(short, 6), words(d, 3)
+    pieces = ([h | t << d for h in heads for t in v + words(short, 2)]
+              + [s | h << short for s in v + words(short, 2) for h in heads])
+    u = words(long, 3) + (draw(st.lists(st.sampled_from(pieces), max_size=12)) if pieces else [])
+    pair = (WordSet.from_packed(long, np.array(u, dtype=np.uint64)),
+            WordSet.from_packed(short, np.array(v, dtype=np.uint64)))
+    return pair[::-1] if draw(st.booleans()) else pair
+
+
+def packed_set(length, values):
+    return WordSet.from_packed(length, np.array(values, dtype=np.uint64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sets_sharing_pieces())
+@example((packed_set(2, [1, 2]), packed_set(2, [1, 3])))  # |u| = |v|
+@example((WordSet(5), packed_set(3, [5])))
+@example((packed_set(4, [3, 12]), WordSet(0)))
+@example((packed_set(5, [9]), packed_set(3, [1])))  # a single word each
+@example((packed_set(40, [(1 << 40) - 1, 12345]), packed_set(24, [(1 << 24) - 1, 7])))
+@example((packed_set(64, [(1 << 64) - 1, 3]), packed_set(0, [0])))
+def test_both_products_match_the_union_of_two_products(pair):
+    u, v = pair
+    got = wordset._both_products(u, v)
+    assert got == u.product(v).union(v.product(u))
+    members(got)
+
+
+@pytest.mark.parametrize("order", ["sorted", "unsorted", "repeated"])
+def test_member_on_long_queries_matches_set_oracle(order):
+    # Queries longer than `_BLOCK` that fall somewhere are searched in sorted order.
+    rng = np.random.default_rng(11)
+    oracle = set(rng.integers(0, 1 << 20, 5000).tolist())
+    canonical = np.array(sorted(oracle), dtype=np.uint64)
+    drawn = np.concatenate([rng.integers(0, 1 << 20, wordset._BLOCK).astype(np.uint64),
+                            rng.choice(canonical, wordset._BLOCK)])
+    queries = {"sorted": np.sort(drawn), "unsorted": drawn,
+               "repeated": np.tile(drawn[:1000], wordset._BLOCK // 1000 + 2)}[order]
+    before = queries.copy()
+    assert len(queries) > wordset._BLOCK
+    assert wordset._member(canonical, queries).tolist() == [x in oracle for x in before.tolist()]
+    assert np.array_equal(queries, before)
+
+
 @given(word_set().flatmap(lambda c: st.tuples(
     st.just(c), st.integers(1, c[0].length + 1).flatmap(
         lambda a: st.tuples(st.just(a), st.integers(a - 1, c[0].length))))))
