@@ -28,8 +28,8 @@ _TABLE_BITS = 24
 _BLOCK = 1 << 17
 
 # Most sorted runs in a chunk that `_distinct` sorts stable, merging the runs: on
-# A_9's 3.3M prefixes [1, 33] to [1, 31] that beats quicksort 3.7x at two runs and
-# 2.5x at four, and loses at five random runs of A_9 (0.82x).
+# A_9's 3.3M words as built (two runs) that beats quicksort 4x, on its prefixes
+# [1, 31] (four runs) 2.5x, and it loses on five random runs of A_9 (0.82x).
 _FEW_RUNS = 4
 
 # Words rendered per block by `write_text`; a block unpacks to 64 bytes a word.
@@ -70,10 +70,10 @@ def _distinct(chunks: Iterable[np.ndarray], width: int) -> np.ndarray:
     unless it already strictly increases as a product's members do, and
     merged into the result so far by a stable sort of their concatenation.
     The count of steps where a chunk fails to rise picks its sort: at most
-    `_FEW_RUNS` sorted runs, such as a canonical set's words cut short by a
-    symbol or two, are merged by a stable sort; others are quicksorted.  A
-    merge of an r-word result and a c-word chunk holds both, their
-    concatenation, the sort's scratch (the shorter run) and then the
+    `_FEW_RUNS` sorted runs, such as the product and the new words in one
+    buffer that make A_n, are merged by a stable sort; others are
+    quicksorted.  A merge of an r-word result and a c-word chunk holds both,
+    their concatenation, the sort's scratch (the shorter run) and then the
     compacted copy, up to 3(r + c) words: F_9's 44 windows peak near 0.9 GB
     for a 241 MB result.
     """
@@ -197,7 +197,7 @@ def reverse_packed(packed: np.ndarray, length: int) -> np.ndarray:
 
 
 def _both_products(u: "WordSet", v: "WordSet") -> "WordSet":
-    """u·v ∪ v·u: the product u·v, plus the words of v·u that it lacks.
+    """u·v ∪ v·u, for |u| + |v| <= 64: u·v, then the words of v·u that it lacks.
 
     Take |u| >= |v| (the union is symmetric) and d = |u| - |v|.  By the
     definition of a product set, a word st of v·u (s from v, t from u) lies
@@ -206,11 +206,12 @@ def _both_products(u: "WordSet", v: "WordSet") -> "WordSet":
     small array: every distinct d-symbol head of u after every s, and every
     tail of u.  The new words are listed without writing out v·u: t is their
     high bits, so taking each t's new s in order after the last t's gives them
-    strictly increasing, as u·v is.  `_distinct` merges the two.
+    strictly increasing.  They follow u·v, written as `product` writes it, in
+    one buffer of two runs, which `_distinct` merges in place.
     """
     if u.length < v.length:
         u, v = v, u
-    first, d = u.product(v), u.length - v.length
+    d = u.length - v.length
     heads = u._packed & np.uint64((1 << d) - 1)  # every t's first d symbols
     prefixes = _distinct([heads.copy()], d)
     firsts = np.bitwise_or.outer(prefixes << np.uint64(v.length), v._packed).ravel()
@@ -227,9 +228,14 @@ def _both_products(u: "WordSet", v: "WordSet") -> "WordSet":
     begins = np.cumsum(per_t) - per_t  # of each t's words among the new ones
     at = np.repeat(starts[rows] - begins, per_t)
     at += np.arange(len(at))  # a word's s: its row's start plus its place among its t's
-    rest = np.repeat(u._packed << np.uint64(v.length), per_t) | listed[at]
-    return WordSet.from_packed(first.length, _distinct([first._packed, rest], first.length),
-                               canonical=True)
+    size = len(u) * len(v)
+    out = np.empty(size + len(at), dtype=np.uint64)
+    np.bitwise_or.outer(v._packed << np.uint64(u.length), u._packed,
+                        out=out[:size].reshape(len(v), len(u)))
+    np.bitwise_or(np.repeat(u._packed << np.uint64(v.length), per_t), listed[at],
+                  out=out[size:])
+    length = u.length + v.length
+    return WordSet.from_packed(length, _distinct([out], length), canonical=True)
 
 
 def pack_rows(bits: np.ndarray) -> np.ndarray:

@@ -3,7 +3,8 @@
 Each pass holds A_9 (built before the measurement) plus at most one word
 array of scratch, the cut counts behind c_9 included (A_9 reversed), and so
 does F_9's refusal at the default item cap, which reads them.  Building A_9
-holds A_8·A_7, the new words of A_7·A_8 and their merge, and sorts no more.
+holds one buffer of its words, A_8·A_7 and then the new words of A_7·A_8,
+plus the scratch that lists those, and sorts no more than that buffer.
 numpy reports its buffers to tracemalloc, so the traced peak counts them.
 """
 
@@ -36,11 +37,11 @@ def a9():
     return enumerate_A(9)
 
 
-def test_building_A9_holds_one_product_and_the_merge(a9):
-    # A_8 and A_7 stay cached; only A_9's own build is traced.  Measured 2.26.
+def test_building_A9_holds_one_buffer_and_the_new_words(a9):
+    # A_8 and A_7 stay cached; only A_9's own build is traced.  Measured 1.39.
     built, peak = traced_peak(lambda: inflation._enumerate.__wrapped__(9))
     assert built == a9
-    assert peak <= 2.3 * a9.packed.nbytes
+    assert peak <= 1.45 * a9.packed.nbytes
 
 
 def test_building_A9_sorts_no_chunk_longer_than_A9(a9, monkeypatch):
