@@ -204,10 +204,11 @@ def _both_products(u: "WordSet", v: "WordSet") -> "WordSet":
     in u·v iff its first |u| symbols, s then t's first d, lie in u, and its
     last |v|, t's last |v|, lie in v.  Each test is one `_member` call on a
     small array: every distinct d-symbol head of u after every s, and every
-    tail of u.  The new words are listed without writing out v·u: t is their
-    high bits, so taking each t's new s in order after the last t's gives them
-    strictly increasing.  They follow u·v, written as `product` writes it, in
-    one buffer of two runs, which `_distinct` merges in place.
+    tail of u.  The new words are listed from one flag per word of v·u, not
+    from its words: t is their high bits, so taking each t's new s in order
+    after the last t's gives them strictly increasing.  They follow u·v,
+    written as `product` writes it, in one buffer of two runs, which
+    `_distinct` merges in place.
     """
     if u.length < v.length:
         u, v = v, u
@@ -221,19 +222,14 @@ def _both_products(u: "WordSet", v: "WordSet") -> "WordSet":
     new = np.ones((len(prefixes) + 1, len(v)), dtype=bool)
     new[:-1] = ~_member(u._packed, firsts).reshape(len(prefixes), len(v))
     rows = np.where(tail_in_v, np.searchsorted(prefixes, heads), len(prefixes))
-    listed = np.broadcast_to(v._packed, new.shape)[new]  # the rows' s, one row after another
-    counts = np.count_nonzero(new, axis=1)
-    per_t = counts[rows]
-    starts = np.cumsum(counts) - counts  # of each row in `listed`
-    begins = np.cumsum(per_t) - per_t  # of each t's words among the new ones
-    at = np.repeat(starts[rows] - begins, per_t)
-    at += np.arange(len(at))  # a word's s: its row's start plus its place among its t's
+    is_new = new[rows]  # is_new[t, s]: st is not in u·v
+    per_t = np.count_nonzero(is_new, axis=1)
     size = len(u) * len(v)
-    out = np.empty(size + len(at), dtype=np.uint64)
+    out = np.empty(size + per_t.sum(), dtype=np.uint64)
     np.bitwise_or.outer(v._packed << np.uint64(u.length), u._packed,
                         out=out[:size].reshape(len(v), len(u)))
-    np.bitwise_or(np.repeat(u._packed << np.uint64(v.length), per_t), listed[at],
-                  out=out[size:])
+    np.bitwise_or(np.repeat(u._packed << np.uint64(v.length), per_t),
+                  np.broadcast_to(v._packed, is_new.shape)[is_new], out=out[size:])
     length = u.length + v.length
     return WordSet.from_packed(length, _distinct([out], length), canonical=True)
 

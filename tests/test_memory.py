@@ -38,10 +38,10 @@ def a9():
 
 
 def test_building_A9_holds_one_buffer_and_the_new_words(a9):
-    # A_8 and A_7 stay cached; only A_9's own build is traced.  Measured 1.39.
+    # A_8 and A_7 stay cached; only A_9's own build is traced.  Measured 1.37.
     built, peak = traced_peak(lambda: inflation._enumerate.__wrapped__(9))
     assert built == a9
-    assert peak <= 1.45 * a9.packed.nbytes
+    assert peak <= 1.4 * a9.packed.nbytes
 
 
 def test_building_A9_sorts_no_chunk_longer_than_A9(a9, monkeypatch):
