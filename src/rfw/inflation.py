@@ -271,6 +271,7 @@ _MUL_MIN_BITS = 32_000
 _MUL_MAX_LEN = 1 << 25
 
 
+@lru_cache(maxsize=None)
 def _smooth(top: int) -> list[int]:
     """Every 2^a 3^b 5^c <= top, ascending."""
     out = [1]
@@ -279,13 +280,10 @@ def _smooth(top: int) -> list[int]:
     return sorted(out)
 
 
-#: The lengths pocketfft does fast, up to twice the longest transform.
-_FFT_LENS = _smooth(2 * _MUL_MAX_LEN)
-
-
 def _fft_len(n: int) -> int:
     """The least 2^a 3^b 5^c >= n, for 1 <= n <= 2 _MUL_MAX_LEN."""
-    return _FFT_LENS[bisect_left(_FFT_LENS, n)]
+    lens = _smooth(2 * _MUL_MAX_LEN)  # the lengths pocketfft does fast, built on first use
+    return lens[bisect_left(lens, n)]
 
 
 def _mul(a: int, b: int) -> int:

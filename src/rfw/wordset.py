@@ -13,9 +13,11 @@ path hashes.
 
 from __future__ import annotations
 
+import os
 import struct
+import threading
 from functools import cache
-from typing import IO, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -35,9 +37,40 @@ _FEW_RUNS = 4
 # Words rendered per block by `write_text`; a block unpacks to 64 bytes a word.
 _TEXT_BLOCK = 1 << 16
 
+# Threads `_on_workers` runs on: one per usable core, at most two, as `_dedup` sorts halves.
+_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
+
 _MAGIC = b"RFW1"
 _FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sBBI")
+
+
+def _on_workers(fn: Callable[[int, int], None], n: int) -> None:
+    """fn(lo, hi) over range(n), cut into at most `_WORKERS` slices of at least `_BLOCK`.
+
+    The first slice runs on the calling thread and each other on its own
+    thread; numpy's kernels release the GIL, so slices run side by side.
+    Every thread is joined before the first slice's exception is raised.
+    """
+    k = max(1, min(_WORKERS, n // _BLOCK))
+    errors: list[BaseException | None] = [None] * k
+
+    def run(i: int) -> None:
+        try:
+            fn(n * i // k, n * (i + 1) // k)
+        except BaseException as exc:  # raised again on the calling thread
+            errors[i] = exc
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, k)]
+    for t in threads:
+        t.start()
+    run(0)
+    for t in threads:
+        t.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
 
 
 def _dedup(owned: np.ndarray, kind: str = "quicksort") -> np.ndarray:
@@ -46,9 +79,14 @@ def _dedup(owned: np.ndarray, kind: str = "quicksort") -> np.ndarray:
     The sort path of `_distinct`, its only caller.  It never hashes: numpy
     >= 2.3 gives `np.unique` a hash table that is 35-90x slower than sorting
     on packed words.  `kind="stable"` suits input made of a few sorted runs,
-    which it merges in linear time.
+    which it merges in linear time.  On two workers a quicksort of at least
+    2 `_BLOCK` words partitions at the middle, then sorts each half on its own.
     """
-    owned.sort(kind=kind)
+    if kind == "quicksort" and _WORKERS > 1 and len(owned) >= 2 * _BLOCK:
+        owned.partition(len(owned) // 2)  # where `_on_workers` cuts its two slices
+        _on_workers(lambda lo, hi: owned[lo:hi].sort(), len(owned))
+    else:
+        owned.sort(kind=kind)
     keep = np.empty(len(owned), dtype=bool)
     keep[:1] = True
     np.not_equal(owned[1:], owned[:-1], out=keep[1:])
@@ -65,11 +103,14 @@ def _distinct(chunks: Iterable[np.ndarray], width: int) -> np.ndarray:
     increase, such as a set's members.  Once `width <= _TABLE_BITS` and the
     chunks hold at least 2^width bytes, each value is marked in a table of
     2^width flags, whose nonzero positions are the answer in ascending
-    order.  With fewer bytes, clearing and scanning the table costs more
-    than sorting them.  Otherwise each chunk is deduplicated by `_dedup`,
-    unless it already strictly increases as a product's members do, and
-    merged into the result so far by a stable sort of their concatenation.
-    The count of steps where a chunk fails to rise picks its sort: at most
+    order; from 2^20 flags on, `_on_workers` marks it from two threads, each
+    taking the next chunk under a lock, and since every store writes 1 and
+    none reads, the order the marks land in cannot change it.  With fewer
+    bytes, clearing and scanning the table costs more than sorting them.
+    Otherwise each chunk is deduplicated by `_dedup`, unless it already
+    strictly increases as a product's members do, and merged into the result
+    so far by a stable sort of their concatenation.  The count of steps where
+    a chunk fails to rise picks its sort: at most
     `_FEW_RUNS` sorted runs, such as the product and the new words in one
     buffer that make A_n, are merged by a stable sort; others are
     quicksorted.  A merge of an r-word result and a c-word chunk holds both,
@@ -86,12 +127,22 @@ def _distinct(chunks: Iterable[np.ndarray], width: int) -> np.ndarray:
             if size >= 1 << width:
                 break
     if size >= 1 << width:
+        del chunk  # the last of `head`, which alone holds it from here on
         seen = np.zeros(1 << width, dtype=bool)
-        for part in (head, chunks):
-            for chunk in part:
+        lock = threading.Lock()
+
+        def mark(lo: int, hi: int) -> None:
+            while True:
+                with lock:
+                    chunk = head.pop(0) if head else next(chunks, None)
+                if chunk is None:
+                    return
                 seen[chunk.view(np.int64)] = True  # values below 2^24 index as they are
                 del chunk  # free it before the next chunk is built
-            head.clear()
+
+        # Counted in quarter flags, so that two workers start from 2^20 flags
+        # on: on smaller tables a thread costs more than it saves.
+        _on_workers(mark, len(seen) >> 2)
         out = np.flatnonzero(seen).view(np.uint64)
         out.flags.writeable = False
         return out
@@ -186,13 +237,20 @@ def _rev16() -> np.ndarray:
 
 
 def reverse_packed(packed: np.ndarray, length: int) -> np.ndarray:
-    """Reverse every word in a packed array; not deduplicated."""
+    """Reverse every word in a packed array, `_BLOCK` words at a time; not deduplicated."""
     if length == 0:
         return packed.copy()
     as_u16 = np.ascontiguousarray(packed).view(np.uint16).reshape(-1, 4)
-    # Indexing, not `np.take`: take would copy the uint16 indices to intp first.
-    rev = _rev16()[as_u16[:, ::-1]].view(np.uint64).ravel()
-    rev >>= np.uint64(WORD_CAPACITY - length)
+    rev, table = np.empty(len(as_u16), dtype=np.uint64), _rev16()
+
+    def work(lo: int, hi: int) -> None:
+        for b in range(lo, hi, _BLOCK):
+            e = min(b + _BLOCK, hi)
+            # Indexing, not `np.take`: take would copy the uint16 indices to intp first.
+            rev[b:e].view(np.uint16).reshape(-1, 4)[:] = table[as_u16[b:e, ::-1]]
+            rev[b:e] >>= np.uint64(WORD_CAPACITY - length)
+
+    _on_workers(work, len(rev))
     return rev
 
 

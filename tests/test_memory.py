@@ -85,8 +85,9 @@ def test_read_binary_holds_one_word_array(a9):
     assert peak <= 1.15 * a9.packed.nbytes
 
 
-@pytest.mark.parametrize("run", [lambda ws: factor_set(ws, 21), lambda ws: ws.slices(1, 20)],
-                         ids=["factor_set_21", "slices_1_20"])
+@pytest.mark.parametrize("run", [lambda ws: factor_set(ws, 21), lambda ws: ws.slices(1, 20),
+                                 lambda ws: ws.slices(14, 34)],
+                         ids=["factor_set_21", "slices_1_20", "slices_14_34"])
 def test_a_table_pass_over_A9_reads_it_in_blocks(a9, run):
     # Windows marked in a table are read a block at a time, never as a word array.
     _, peak = traced_peak(lambda: run(a9))

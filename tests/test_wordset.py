@@ -5,6 +5,13 @@ plain Python sets of ints, bit by bit.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
+import threading
+import time
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rfw import Word, WordSet, enumerate_A, factor_set, wordset
+from rfw import Word, WordSet, cli, enumerate_A, factor_set, inflation, wordset
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "rfw"
 
@@ -386,6 +393,180 @@ def test_reverse_packed_matches_string_reversal(length):
                             rng.integers(0, 1 << length, 300, dtype=np.uint64)])
     expected = [int(format(x, f"0{length}b")[::-1], 2) if length else 0 for x in words.tolist()]
     assert wordset.reverse_packed(words, length).tolist() == expected
+
+
+# --- two worker threads give what one gives ---------------------------------
+
+
+def on_each_worker_count(run, block):
+    """run() on one worker and then on two, blocks of `block` words; the outputs, checked equal."""
+    outs = []
+    for workers in (1, 2):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(wordset, "_WORKERS", workers)
+            mp.setattr(wordset, "_BLOCK", block)
+            outs.append(np.asarray(run()))
+    assert outs[0].dtype == outs[1].dtype == np.uint64
+    assert np.array_equal(outs[0], outs[1])
+    return outs[1].tolist()
+
+
+def reversed_by_string(words, length):
+    return [int(format(x, f"0{length}b")[::-1], 2) for x in words.tolist()]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 64).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n),
+                                                      st.integers(1, n))),
+       st.integers(0, 400), st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_two_workers_give_what_one_gives(shape, count, block, seed):
+    # Blocks of at most 8 words, so that two workers split nearly every pass:
+    # the table from 2^6 flags, the sorts and the reversal from 16 words.
+    length, width, a = shape
+    a = min(a, length - width + 1)
+    rng = np.random.default_rng(seed)
+    words = rng.integers(0, 1 << length, count, dtype=np.uint64)
+    ws = WordSet.from_packed(length, words)
+    offsets = range(1, length - width + 2)
+    assert on_each_worker_count(lambda: factor_set(ws, width).packed, block) == \
+        per_window(ws.packed, offsets, width)
+    assert on_each_worker_count(lambda: ws.slices(a, a + width - 1).packed, block) == \
+        per_window(ws.packed, range(a, a + 1), width)
+    assert on_each_worker_count(lambda: wordset.reverse_packed(words, length), block) == \
+        reversed_by_string(words, length)
+    assert on_each_worker_count(lambda: ws.reverse().packed, block) == \
+        sorted(set(reversed_by_string(words, length)))
+    # _distinct on both sides of the byte rule, and _dedup on values that repeat.
+    small = min(width, 20)
+    items = max((1 << small) // 8 + count - 200, 0)
+    chunks, oracle = random_chunks(rng, small, items, 1 + seed % 4, runs=seed % 3 * 20)
+    assert on_each_worker_count(lambda: wordset._distinct([c.copy() for c in chunks], small),
+                                block) == oracle
+    repeats = rng.permutation(np.repeat(words, rng.integers(1, 4, count)))
+    assert on_each_worker_count(lambda: wordset._dedup(repeats.copy()), block) == \
+        sorted(set(words.tolist()))
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """A list that gains an entry each time any thread starts."""
+    starts, start = [], threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda self: starts.append(self) or start(self))
+    return starts
+
+
+ws_40 = WordSet.from_packed(40, np.random.default_rng(40).integers(0, 1 << 40, 64,
+                                                                  dtype=np.uint64))
+
+
+@pytest.mark.parametrize("run", [
+    lambda: factor_set(ws_40, 6), lambda: ws_40.slices(3, 8), lambda: factor_set(ws_40, 30),
+    lambda: wordset.reverse_packed(ws_40.packed, 40), ws_40.reverse,
+    lambda: wordset._dedup(ws_40.packed[::-1].copy())],
+    ids=["factor_set_table", "slices_table", "factor_set_sort", "reverse_packed", "reverse",
+         "dedup"])
+def test_two_workers_reach_every_split_pass(monkeypatch, thread_starts, run):
+    monkeypatch.setattr(wordset, "_WORKERS", 2)
+    monkeypatch.setattr(wordset, "_BLOCK", 8)
+    run()
+    assert thread_starts
+
+
+def test_many_workers_take_every_chunk_once():
+    # More workers than cores and a short switch interval: a chunk taken
+    # twice or lost, or the generator entered by two threads, shows here.
+    rng = np.random.default_rng(8)
+    chunks = [rng.integers(0, 1 << 10, 5, dtype=np.uint64) for _ in range(2000)]
+    taken = []
+
+    def source():
+        for chunk in chunks:
+            taken.append(len(taken))
+            yield chunk.copy()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(wordset, "_WORKERS", 8)
+            mp.setattr(wordset, "_BLOCK", 1)
+            got = wordset._distinct(source(), 10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert taken == list(range(len(chunks)))
+    assert got.tolist() == sorted(set(np.concatenate(chunks).tolist()))
+
+
+@pytest.mark.parametrize("failing", [1, 0])
+def test_a_failing_slice_reaches_the_caller_once_every_thread_is_joined(monkeypatch, failing):
+    hooked, ran = [], []
+    monkeypatch.setattr(threading, "excepthook", hooked.append)
+    monkeypatch.setattr(wordset, "_WORKERS", 2)
+
+    def fn(lo, hi):
+        if lo == failing * wordset._BLOCK:
+            raise MemoryError(f"slice {failing + 1}")
+        time.sleep(0.05)  # the other slice ends last
+        ran.append((lo, hi))
+
+    before = threading.active_count()
+    with pytest.raises(MemoryError, match=f"slice {failing + 1}"):
+        wordset._on_workers(fn, 2 * wordset._BLOCK)
+    assert ran == [((1 - failing) * wordset._BLOCK, (2 - failing) * wordset._BLOCK)]
+    assert threading.active_count() == before
+    assert hooked == []
+
+
+def test_a_failing_worker_ends_a_command_with_exit_2_and_one_line(monkeypatch, capsys):
+    on_workers, splits = wordset._on_workers, []
+
+    def second_slice_fails(fn, n):
+        def sliced(lo, hi):
+            if lo:
+                splits.append(lo)
+                raise MemoryError
+            fn(lo, hi)
+        on_workers(sliced, n)
+
+    monkeypatch.setattr(wordset, "_on_workers", second_slice_fails)
+    monkeypatch.setattr(wordset, "_WORKERS", 2)
+    monkeypatch.setattr(wordset, "_BLOCK", 1)
+    # A cold cache of A_n, so that the export builds A_7 and meets the failure.
+    monkeypatch.setattr(inflation, "_enumerate",
+                        lru_cache(maxsize=None)(inflation._enumerate.__wrapped__))
+    assert cli.main(["export", "-n", "7"]) == 2
+    assert splits
+    assert capsys.readouterr() == ("", "export: MemoryError\n")
+
+
+@pytest.fixture(scope="module")
+def cold_process():
+    """A fresh interpreter's modules after `import rfw`, and its thread starts on small passes."""
+    code = """if True:
+        import json, sys, threading
+        import rfw
+        from rfw import wordset
+        loaded = [m for m in ("concurrent.futures", "multiprocessing") if m in sys.modules]
+        wordset._WORKERS = 2
+        starts, start = [], threading.Thread.start
+        threading.Thread.start = lambda self: starts.append(1) or start(self)
+        rfw.table_rows(7)
+        rfw.enumerate_A(8)
+        print(json.dumps({"loaded": loaded, "starts": len(starts)}))
+    """
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          check=True)
+    return json.loads(proc.stdout)
+
+
+def test_import_loads_no_process_or_future_pools(cold_process):
+    assert cold_process["loaded"] == []
+
+
+def test_small_passes_start_no_thread(cold_process):
+    # table_rows(7) and A_8 mark tables below 2^20 flags and sort under 2 _BLOCK words.
+    assert cold_process["starts"] == 0
 
 
 # Words 2^e - 1 and 2^e with e >= 53: their xors round up as one float64, so
