@@ -23,7 +23,7 @@ import numpy as np
 from .inflation import (MAX_ENUMERATED, BudgetError, VerifyResult, check_capacity,
                         enumerate_A, halves)
 from .words import Word, fib
-from .wordset import WordSet, _distinct, _member, _suffix_counts, _windows
+from .wordset import WordSet, _distinct, _member, _suffix_counts, _window_set
 
 # Stabilization generation used to define F_n for n <= 3: factor sets of
 # length <= f_3 = 2 are empirically constant from generation 5 on; we use
@@ -75,8 +75,8 @@ def factor_set(s: WordSet, ell: int) -> WordSet:
     """All distinct length-ell factors of the members of s, by sliding window."""
     if not 1 <= ell <= s.length:
         raise IndexError(f"factor length {ell} outside [1, {s.length}]")
-    windows = _windows(s.packed, range(1, s.length - ell + 2), ell)
-    return WordSet.from_packed(ell, _distinct(windows, ell), canonical=True)
+    windows = _window_set(s.packed, range(1, s.length - ell + 2), ell)
+    return WordSet.from_packed(ell, windows, canonical=True)
 
 
 @lru_cache(maxsize=None)

@@ -422,10 +422,12 @@ def entropy_limit(tol: float = 1e-8) -> float:
 def verify_palindromic(n: int) -> VerifyResult:
     """A_n is closed under word reversal (n >= 1)."""
     a = enumerate_A(n)
-    if a.reverse() == a:
+    rev = a.reverse()
+    if rev == a:
         return VerifyResult(True)
-    first = np.argmin(_member(a.packed, reverse_packed(a.packed, a.length)))
-    return VerifyResult(False, f"reverse({Word(int(a.packed[first]), a.length)}) not in A_{n}")
+    # The words whose reverse is missing are the reverses of rev's words missing from A_n.
+    missing = reverse_packed(rev.packed[~_member(a.packed, rev.packed)], a.length)
+    return VerifyResult(False, f"reverse({Word(int(missing.min()), a.length)}) not in A_{n}")
 
 
 def verify_overlap(n: int) -> VerifyResult:

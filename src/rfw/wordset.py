@@ -103,11 +103,9 @@ def _distinct(chunks: Iterable[np.ndarray], width: int) -> np.ndarray:
     increase, such as a set's members.  Once `width <= _TABLE_BITS` and the
     chunks hold at least 2^width bytes, each value is marked in a table of
     2^width flags, whose nonzero positions are the answer in ascending
-    order; from 2^20 flags on, `_on_workers` marks it from two threads, each
-    taking the next chunk under a lock, and since every store writes 1 and
-    none reads, the order the marks land in cannot change it.  With fewer
-    bytes, clearing and scanning the table costs more than sorting them.
-    Otherwise each chunk is deduplicated by `_dedup`, unless it already
+    order; the chunks are marked one by one on the calling thread, each
+    freed once marked.  With fewer bytes, clearing and scanning the table
+    costs more than sorting them.  Otherwise each chunk is deduplicated by `_dedup`, unless it already
     strictly increases as a product's members do, and merged into the result
     so far by a stable sort of their concatenation.  The count of steps where
     a chunk fails to rise picks its sort: at most
@@ -129,20 +127,11 @@ def _distinct(chunks: Iterable[np.ndarray], width: int) -> np.ndarray:
     if size >= 1 << width:
         del chunk  # the last of `head`, which alone holds it from here on
         seen = np.zeros(1 << width, dtype=bool)
-        lock = threading.Lock()
-
-        def mark(lo: int, hi: int) -> None:
-            while True:
-                with lock:
-                    chunk = head.pop(0) if head else next(chunks, None)
-                if chunk is None:
-                    return
-                seen[chunk.view(np.int64)] = True  # values below 2^24 index as they are
-                del chunk  # free it before the next chunk is built
-
-        # Counted in quarter flags, so that two workers start from 2^20 flags
-        # on: on smaller tables a thread costs more than it saves.
-        _on_workers(mark, len(seen) >> 2)
+        while head:  # any order: every store writes 1 and none reads
+            seen[head.pop().view(np.int64)] = True  # values below 2^24 index as they are
+        for chunk in chunks:
+            seen[chunk.view(np.int64)] = True
+            del chunk  # marked: free it before the next chunk is built
         out = np.flatnonzero(seen).view(np.uint64)
         out.flags.writeable = False
         return out
@@ -162,17 +151,11 @@ def _member(canonical: np.ndarray, words: np.ndarray) -> np.ndarray:
     """Which uint64 `words` lie in `canonical`, a strictly increasing uint64 array.
 
     The one membership kernel: a binary search per word, clamped to the last
-    entry.  Searches in ascending order walk the array in order, so a query
-    longer than `_BLOCK` that ever falls is searched sorted and its answers
-    put back through the argsort: 6x faster on the 3.3M reversed words of A_9.
+    entry.  Searches in ascending order walk the array in order, so callers
+    with many words ask in ascending order where they can.
     """
     if len(canonical) == 0:
         return np.zeros(np.shape(words), dtype=bool)
-    if np.ndim(words) == 1 and len(words) > _BLOCK and (words[1:] < words[:-1]).any():
-        order = np.argsort(words)
-        found = np.empty(len(words), dtype=bool)
-        found[order] = _member(canonical, words[order])
-        return found
     return canonical[np.minimum(np.searchsorted(canonical, words), len(canonical) - 1)] == words
 
 
@@ -212,21 +195,29 @@ def slice_packed(packed: np.ndarray, a: int, b: int) -> np.ndarray:
     return out
 
 
-def _windows(packed: np.ndarray, starts: range, width: int) -> Iterator[np.ndarray]:
-    """w[a, a+width-1] for every start a and every packed word w, as chunks for `_distinct`.
+def _window_set(packed: np.ndarray, starts: range, width: int) -> np.ndarray:
+    """Sorted distinct w[a, a+width-1] over every start a and every packed word w.
 
-    Where `_distinct` marks them in its table (by its own rule: width <=
-    `_TABLE_BITS` and 2^width bytes in all), the words are read a block of
-    `_BLOCK` at a time, every start before the next block, so a block is
-    read from cache.  Otherwise each start gives one chunk of all the words,
+    Where `_distinct` would mark them in its table (by its own rule: width <=
+    `_TABLE_BITS` and 2^width bytes in all), `_on_workers` splits the words,
+    and each worker cuts and marks its own blocks of `_BLOCK` words, every
+    start before the next block, so a block is read from cache; every store
+    writes 1 and none reads, so the order the marks land in cannot change the
+    table.  Otherwise `_distinct` takes one chunk of all the words per start,
     since every chunk the sort path takes costs it a merge.
     """
-    table = width <= _TABLE_BITS and 8 * len(packed) * len(starts) >= 1 << width
-    step = _BLOCK if table else max(len(packed), 1)
-    for lo in range(0, len(packed), step):
-        block = packed[lo:lo + step]
-        for a in starts:
-            yield slice_packed(block, a, a + width - 1)
+    if width > _TABLE_BITS or 8 * len(packed) * len(starts) < 1 << width:
+        return _distinct((slice_packed(packed, a, a + width - 1) for a in starts), width)
+    seen = np.zeros(1 << width, dtype=bool)
+
+    def mark(lo: int, hi: int) -> None:
+        for b in range(lo, hi, _BLOCK):
+            block = packed[b:min(b + _BLOCK, hi)]
+            for a in starts:
+                seen[slice_packed(block, a, a + width - 1).view(np.int64)] = True
+
+    _on_workers(mark, len(packed))
+    return np.flatnonzero(seen).view(np.uint64)
 
 
 @cache
@@ -237,17 +228,19 @@ def _rev16() -> np.ndarray:
 
 
 def reverse_packed(packed: np.ndarray, length: int) -> np.ndarray:
-    """Reverse every word in a packed array, `_BLOCK` words at a time; not deduplicated."""
+    """Reverse every word in a packed array, a quarter `_BLOCK` at a time; not deduplicated."""
     if length == 0:
         return packed.copy()
     as_u16 = np.ascontiguousarray(packed).view(np.uint16).reshape(-1, 4)
     rev, table = np.empty(len(as_u16), dtype=np.uint64), _rev16()
+    step = max(_BLOCK >> 2, 1)  # take copies its indices to intp: 1 MB a step
 
     def work(lo: int, hi: int) -> None:
-        for b in range(lo, hi, _BLOCK):
-            e = min(b + _BLOCK, hi)
-            # Indexing, not `np.take`: take would copy the uint16 indices to intp first.
-            rev[b:e].view(np.uint16).reshape(-1, 4)[:] = table[as_u16[b:e, ::-1]]
+        for b in range(lo, hi, step):
+            e = min(b + step, hi)
+            # Every index is in range; "clip" writes to `out` directly, "raise" buffers it.
+            np.take(table, as_u16[b:e, ::-1], out=rev[b:e].view(np.uint16).reshape(-1, 4),
+                    mode="clip")
             rev[b:e] >>= np.uint64(WORD_CAPACITY - length)
 
     _on_workers(work, len(rev))
@@ -409,8 +402,8 @@ class WordSet:
             n = min(len(self._packed), 1)
             return WordSet.from_packed(0, np.zeros(n, dtype=np.uint64), canonical=True)
         width = b - a + 1
-        return WordSet.from_packed(width, _distinct(_windows(self._packed, range(a, a + 1), width),
-                                                    width), canonical=True)
+        return WordSet.from_packed(width, _window_set(self._packed, range(a, a + 1), width),
+                                   canonical=True)
 
     def reverse(self) -> "WordSet":
         rev = reverse_packed(self._packed, self.length)

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rfw import Word, WordSet, cli, enumerate_A, factor_set, inflation, wordset
+from rfw import Word, WordSet, cli, enumerate_A, factor_set, factors, inflation, wordset
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "rfw"
 
@@ -343,14 +343,15 @@ def per_window(packed, starts, width):
     return every[keep].tolist()
 
 
-class ChunkSpy:
-    """Wraps `_distinct`, recording the length of every chunk it is given."""
+class CutSpy:
+    """Wraps `slice_packed`, recording the length of every array it cuts windows from."""
 
     def __init__(self, real):
         self.real, self.sizes = real, []
 
-    def __call__(self, chunks, width):
-        return self.real((self.sizes.append(len(c)) or c for c in chunks), width)
+    def __call__(self, packed, a, b):
+        self.sizes.append(len(packed))
+        return self.real(packed, a, b)
 
 
 @settings(max_examples=150, deadline=None)
@@ -366,22 +367,23 @@ def test_blocked_windows_match_a_per_window_sort(shape, count, table_bits, seed)
     words = np.random.default_rng(seed).integers(0, 1 << length, count, dtype=np.uint64)
     ws = WordSet.from_packed(length, words)
     offsets = range(1, length - width + 2)
-    cases = [(factor_set, (ws, width), "factors", offsets),
-             (ws.slices, (a, a + width - 1), "wordset", range(a, a + 1))]
+    cases = [(factor_set, (ws, width), offsets), (ws.slices, (a, a + width - 1), range(a, a + 1))]
+    oracles = [per_window(ws.packed, starts, width) for _, _, starts in cases]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(wordset, "_BLOCK", 7)
         mp.setattr(wordset, "_TABLE_BITS", table_bits)
-        for run, args, module, starts in cases:
-            spy = ChunkSpy(wordset._distinct)
-            mp.setattr(f"rfw.{module}._distinct", spy)
+        for (run, args, starts), oracle in zip(cases, oracles):
+            spy = CutSpy(wordset.slice_packed)
+            mp.setattr(wordset, "slice_packed", spy)
             got, path = with_path(run, *args)
-            assert members(got) == per_window(ws.packed, starts, width)
+            mp.setattr(wordset, "slice_packed", spy.real)
+            assert members(got) == oracle
             assert path == expected_path(len(ws) * len(starts), width)
             assert sum(spy.sizes) == len(ws) * len(starts)
             if path == "table":
                 assert max(spy.sizes, default=0) <= 7
-            else:
-                assert spy.sizes == [len(ws)] * len(starts) if len(ws) else spy.sizes == []
+            else:  # one whole-set cut per start, the empty set included
+                assert spy.sizes == [len(ws)] * len(starts)
 
 
 @pytest.mark.parametrize("length", range(65))
@@ -421,7 +423,7 @@ def reversed_by_string(words, length):
        st.integers(0, 400), st.integers(1, 8), st.integers(0, 2**32 - 1))
 def test_two_workers_give_what_one_gives(shape, count, block, seed):
     # Blocks of at most 8 words, so that two workers split nearly every pass:
-    # the table from 2^6 flags, the sorts and the reversal from 16 words.
+    # the window marking, the sorts and the reversal from 16 words.
     length, width, a = shape
     a = min(a, length - width + 1)
     rng = np.random.default_rng(seed)
@@ -474,7 +476,7 @@ def test_two_workers_reach_every_split_pass(monkeypatch, thread_starts, run):
 
 def test_many_workers_take_every_chunk_once():
     # More workers than cores and a short switch interval: a chunk taken
-    # twice or lost, or the generator entered by two threads, shows here.
+    # twice or lost, or a window left unmarked, shows here.
     rng = np.random.default_rng(8)
     chunks = [rng.integers(0, 1 << 10, 5, dtype=np.uint64) for _ in range(2000)]
     taken = []
@@ -484,6 +486,7 @@ def test_many_workers_take_every_chunk_once():
             taken.append(len(taken))
             yield chunk.copy()
 
+    oracle = per_window(ws_40.packed, range(1, 32), 10)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -491,10 +494,20 @@ def test_many_workers_take_every_chunk_once():
             mp.setattr(wordset, "_WORKERS", 8)
             mp.setattr(wordset, "_BLOCK", 1)
             got = wordset._distinct(source(), 10)
+            windows = factor_set(ws_40, 10)
     finally:
         sys.setswitchinterval(interval)
     assert taken == list(range(len(chunks)))
     assert got.tolist() == sorted(set(np.concatenate(chunks).tolist()))
+    assert windows.packed.tolist() == oracle
+
+
+def test_distinct_marks_a_wide_table_on_the_calling_thread(monkeypatch, thread_starts):
+    monkeypatch.setattr(wordset, "_WORKERS", 2)
+    monkeypatch.setattr(wordset, "_BLOCK", 1)
+    values = np.random.default_rng(20).integers(0, 1 << 20, 1 << 17, dtype=np.uint64)
+    assert distinct_with_path([values.copy()], 20) == (sorted(set(values.tolist())), "table")
+    assert thread_starts == []
 
 
 @pytest.mark.parametrize("failing", [1, 0])
@@ -531,12 +544,12 @@ def test_a_failing_worker_ends_a_command_with_exit_2_and_one_line(monkeypatch, c
     monkeypatch.setattr(wordset, "_on_workers", second_slice_fails)
     monkeypatch.setattr(wordset, "_WORKERS", 2)
     monkeypatch.setattr(wordset, "_BLOCK", 1)
-    # A cold cache of A_n, so that the export builds A_7 and meets the failure.
-    monkeypatch.setattr(inflation, "_enumerate",
-                        lru_cache(maxsize=None)(inflation._enumerate.__wrapped__))
-    assert cli.main(["export", "-n", "7"]) == 2
+    # A cold cache of F_n, so that `factors` cuts F_5's windows and meets the failure.
+    monkeypatch.setattr(factors, "_factor_set_Fn_cached",
+                        lru_cache(maxsize=None)(factors._factor_set_Fn_cached.__wrapped__))
+    assert cli.main(["factors", "-n", "5"]) == 2
     assert splits
-    assert capsys.readouterr() == ("", "export: MemoryError\n")
+    assert capsys.readouterr() == ("", "factors: MemoryError\n")
 
 
 @pytest.fixture(scope="module")
@@ -565,7 +578,7 @@ def test_import_loads_no_process_or_future_pools(cold_process):
 
 
 def test_small_passes_start_no_thread(cold_process):
-    # table_rows(7) and A_8 mark tables below 2^20 flags and sort under 2 _BLOCK words.
+    # table_rows(7) and A_8 cut windows from, reverse and sort under 2 _BLOCK words.
     assert cold_process["starts"] == 0
 
 
@@ -681,14 +694,19 @@ def test_library_never_uses_numpy_random():
     assert found == []
 
 
-def dedup_calls_outside_distinct(source):
+def calls_outside(source, names, owner=None):
+    """Lines that call one of `names` outside the function named `owner`."""
     tree = ast.parse(source)
     inside = {id(node) for fn in ast.walk(tree)
-              if isinstance(fn, ast.FunctionDef) and fn.name == "_distinct"
+              if isinstance(fn, ast.FunctionDef) and fn.name == owner
               for node in ast.walk(fn)}
     return sorted(node.lineno for node in ast.walk(tree)
-                  if isinstance(node, ast.Call) and _called_name(node) == "_dedup"
+                  if isinstance(node, ast.Call) and _called_name(node) in names
                   and id(node) not in inside)
+
+
+def dedup_calls_outside_distinct(source):
+    return calls_outside(source, {"_dedup"}, "_distinct")
 
 
 def test_guard_sees_dedup_calls_outside_distinct():
@@ -701,6 +719,31 @@ def test_guard_sees_dedup_calls_outside_distinct():
 def test_only_distinct_calls_the_sort():
     found = [f"{path.name} line {line}" for path in sorted(SRC.glob("*.py"))
              for line in dedup_calls_outside_distinct(path.read_text())]
+    assert found == []
+
+
+# Work is split one way: `_on_workers` cuts a range of one word array into
+# slices, each on its own thread, which share no lock and take no shared stream.
+LOCKS = {"Lock", "RLock", "Condition", "Semaphore", "BoundedSemaphore"}
+
+
+def thread_sites(source):
+    return sorted(calls_outside(source, LOCKS) +
+                  calls_outside(source, {"Thread", "Timer"}, "_on_workers"))
+
+
+def test_guard_sees_locks_and_threads_outside_on_workers():
+    source = ("def _on_workers(fn):\n    threading.Thread(target=fn)\n"
+              "    threading.Lock()\n"
+              "def _distinct(c):\n    lock = threading.Lock()\n"
+              "    Thread(target=len)\nRLock()\nthreading.Condition()\n"
+              "threading.Semaphore(2)\nthreading.Timer(1, len)\nthreading.Event()\n")
+    assert thread_sites(source) == [3, 5, 6, 7, 8, 9, 10]
+
+
+def test_only_on_workers_starts_threads_and_nothing_locks():
+    found = [f"{path.name} line {line}" for path in sorted(SRC.glob("*.py"))
+             for line in thread_sites(path.read_text())]
     assert found == []
 
 
