@@ -105,16 +105,16 @@ def _distinct(chunks: Iterable[np.ndarray], width: int) -> np.ndarray:
     2^width flags, whose nonzero positions are the answer in ascending
     order; the chunks are marked one by one on the calling thread, each
     freed once marked.  With fewer bytes, clearing and scanning the table
-    costs more than sorting them.  Otherwise each chunk is deduplicated by `_dedup`, unless it already
-    strictly increases as a product's members do, and merged into the result
-    so far by a stable sort of their concatenation.  The count of steps where
-    a chunk fails to rise picks its sort: at most
-    `_FEW_RUNS` sorted runs, such as the product and the new words in one
-    buffer that make A_n, are merged by a stable sort; others are
-    quicksorted.  A merge of an r-word result and a c-word chunk holds both,
-    their concatenation, the sort's scratch (the shorter run) and then the
-    compacted copy, up to 3(r + c) words: F_9's 44 windows peak near 0.9 GB
-    for a 241 MB result.
+    costs more than sorting them.  Otherwise each chunk is deduplicated by
+    `_dedup`, unless it already strictly increases as a product's members
+    do, and merged into the result so far by a stable sort of their
+    concatenation.  The count of steps where a chunk fails to rise picks its
+    sort: at most `_FEW_RUNS` sorted runs, such as the product and the new
+    words in one buffer that make A_n, are merged by a stable sort; others
+    are quicksorted.  A merge of an r-word result and a c-word chunk holds
+    both, their concatenation, the sort's scratch (the shorter run) and then
+    the compacted copy, up to 3(r + c) words: F_9's 44 windows peak near
+    0.9 GB for a 241 MB result.
     """
     chunks = iter(chunks)
     head, size = [], 0
