@@ -3,12 +3,11 @@
 A WordSet holds its members as a sorted, deduplicated numpy uint64 array.
 The canonical order is ascending packed value, which is total and
 deterministic, so two runs produce byte-identical exports.  Bulk operations
-(products, slices, unions) work directly on the packed arrays, and every
-deduplication goes through `_distinct`, which takes one of two paths.  When
-the words have at most `_TABLE_BITS` symbols and the input holds at least one
-byte per value they could take, it marks them in a direct-address table that
-reads off in ascending order; otherwise it sorts them with `_dedup`.  Neither
-path hashes.
+(products, slices, unions) work directly on the packed arrays.  Every
+deduplication takes one of two paths, chosen by `_table_pays`: words of at
+most `_TABLE_BITS` symbols, with at least one input byte per value they could
+take, are marked in `_table`, a direct-address table that reads off in
+ascending order; all others are sorted by `_dedup`.  Neither path hashes.
 """
 
 from __future__ import annotations
@@ -17,13 +16,14 @@ import os
 import struct
 import threading
 from functools import cache
+from itertools import chain
 from typing import IO, Callable, Iterable, Iterator
 
 import numpy as np
 
 from .words import WORD_CAPACITY, CapacityError, Word, _check_length
 
-# Widest words `_distinct` marks in a table: 2^24 one-byte flags, 16 MB.
+# Widest words `_table` marks: 2^24 one-byte flags, 16 MB.
 _TABLE_BITS = 24
 
 # Words (or `_suffix_counts` pairs) per block of windows marked in the table: 2^17, 1 MB.
@@ -95,26 +95,50 @@ def _dedup(owned: np.ndarray, kind: str = "quicksort") -> np.ndarray:
     return out
 
 
+def _table_pays(width: int, nbytes: int) -> bool:
+    """The byte rule: `nbytes` of values below 2^width go to `_table`, as clearing
+    and scanning its 2^width flags costs more than sorting fewer bytes."""
+    return width <= _TABLE_BITS and nbytes >= 1 << width
+
+
+def _table(width: int, n: int, arrays: Callable[[int, int], Iterable[np.ndarray]]) -> np.ndarray:
+    """Sorted distinct values, all below 2^width, of the uint64 arrays that arrays(lo, hi) yields.
+
+    The one direct-address table: `_on_workers` splits range(n), and each
+    slice marks its arrays in the same 2^width one-byte flags, freeing each
+    once marked; every store writes 1 and none reads, so the order of the
+    marks cannot change the flags, whose nonzero positions are the answer.
+    """
+    seen = np.zeros(1 << width, dtype=bool)
+
+    def mark(lo: int, hi: int) -> None:
+        for array in arrays(lo, hi):
+            seen[array.view(np.int64)] = True  # values below 2^24 index as they are
+            del array  # marked: free it before the next is built
+
+    _on_workers(mark, n)
+    out = np.flatnonzero(seen).view(np.uint64)
+    out.flags.writeable = False
+    return out
+
+
 def _distinct(chunks: Iterable[np.ndarray], width: int) -> np.ndarray:
     """Sorted distinct values of uint64 arrays whose entries are all below 2^width.
 
     The one deduplication kernel behind every WordSet; it owns the chunks
     and may sort them in place, but only reads those that already strictly
-    increase, such as a set's members.  Once `width <= _TABLE_BITS` and the
-    chunks hold at least 2^width bytes, each value is marked in a table of
-    2^width flags, whose nonzero positions are the answer in ascending
-    order; the chunks are marked one by one on the calling thread, each
-    freed once marked.  With fewer bytes, clearing and scanning the table
-    costs more than sorting them.  Otherwise each chunk is deduplicated by
-    `_dedup`, unless it already strictly increases as a product's members
-    do, and merged into the result so far by a stable sort of their
-    concatenation.  The count of steps where a chunk fails to rise picks its
-    sort: at most `_FEW_RUNS` sorted runs, such as the product and the new
-    words in one buffer that make A_n, are merged by a stable sort; others
-    are quicksorted.  A merge of an r-word result and a c-word chunk holds
-    both, their concatenation, the sort's scratch (the shorter run) and then
-    the compacted copy, up to 3(r + c) words: F_9's 44 windows peak near
-    0.9 GB for a 241 MB result.
+    increase, such as a set's members.  Once the chunks read so far pay for
+    a table (`_table_pays`), `_table` marks them and the rest one by one on
+    the calling thread, so F_8's 44 window pieces start no thread.
+    Otherwise each chunk is deduplicated by `_dedup`, unless it already
+    strictly increases as a product's members do, and merged into the result
+    so far by a stable sort of their concatenation.  The count of steps where
+    a chunk fails to rise picks its sort: at most `_FEW_RUNS` sorted runs,
+    such as the product and the new words in one buffer that make A_n, are
+    merged by a stable sort; others are quicksorted.  A merge of an r-word
+    result and a c-word chunk holds both, their concatenation, the sort's
+    scratch (the shorter run) and then the compacted copy, up to 3(r + c)
+    words: F_9's 44 windows peak near 0.9 GB for a 241 MB result.
     """
     chunks = iter(chunks)
     head, size = [], 0
@@ -122,19 +146,12 @@ def _distinct(chunks: Iterable[np.ndarray], width: int) -> np.ndarray:
         for chunk in chunks:
             head.append(chunk)
             size += chunk.nbytes
-            if size >= 1 << width:
+            if _table_pays(width, size):
                 break
-    if size >= 1 << width:
+    if _table_pays(width, size):
         del chunk  # the last of `head`, which alone holds it from here on
-        seen = np.zeros(1 << width, dtype=bool)
-        while head:  # any order: every store writes 1 and none reads
-            seen[head.pop().view(np.int64)] = True  # values below 2^24 index as they are
-        for chunk in chunks:
-            seen[chunk.view(np.int64)] = True
-            del chunk  # marked: free it before the next chunk is built
-        out = np.flatnonzero(seen).view(np.uint64)
-        out.flags.writeable = False
-        return out
+        popped = (head.pop() for _ in range(len(head)))  # so `head` lets go of each
+        return _table(width, 1, lambda lo, hi: chain(popped, chunks))
     out = np.empty(0, dtype=np.uint64)
     for part in (head, chunks):
         for chunk in part:
@@ -198,26 +215,16 @@ def slice_packed(packed: np.ndarray, a: int, b: int) -> np.ndarray:
 def _window_set(packed: np.ndarray, starts: range, width: int) -> np.ndarray:
     """Sorted distinct w[a, a+width-1] over every start a and every packed word w.
 
-    Where `_distinct` would mark them in its table (by its own rule: width <=
-    `_TABLE_BITS` and 2^width bytes in all), `_on_workers` splits the words,
-    and each worker cuts and marks its own blocks of `_BLOCK` words, every
-    start before the next block, so a block is read from cache; every store
-    writes 1 and none reads, so the order the marks land in cannot change the
-    table.  Otherwise `_distinct` takes one chunk of all the words per start,
-    since every chunk the sort path takes costs it a merge.
+    Where the windows pay for a table, `_table` splits the words and each
+    worker cuts its own `_BLOCK`-word blocks, every start before the next
+    block, so a block is read from cache.  Otherwise `_distinct` takes one
+    whole-set chunk per start, as each chunk costs its sort path a merge.
     """
-    if width > _TABLE_BITS or 8 * len(packed) * len(starts) < 1 << width:
+    if not _table_pays(width, 8 * len(packed) * len(starts)):
         return _distinct((slice_packed(packed, a, a + width - 1) for a in starts), width)
-    seen = np.zeros(1 << width, dtype=bool)
-
-    def mark(lo: int, hi: int) -> None:
-        for b in range(lo, hi, _BLOCK):
-            block = packed[b:min(b + _BLOCK, hi)]
-            for a in starts:
-                seen[slice_packed(block, a, a + width - 1).view(np.int64)] = True
-
-    _on_workers(mark, len(packed))
-    return np.flatnonzero(seen).view(np.uint64)
+    return _table(width, len(packed), lambda lo, hi: (
+        slice_packed(packed[b:min(b + _BLOCK, hi)], a, a + width - 1)
+        for b in range(lo, hi, _BLOCK) for a in starts))
 
 
 @cache
@@ -394,13 +401,9 @@ class WordSet:
         return WordSet.from_packed(length, out.ravel(), canonical=True)
 
     def slices(self, a: int, b: int) -> "WordSet":
-        """Distinct sub-words w[a,b] over all members."""
+        """Distinct sub-words w[a,b] over all members; w[a, a-1] is the empty word."""
         if not (1 <= a <= b + 1 <= self.length + 1):
             raise IndexError(f"slice [{a}, {b}] outside word length {self.length}")
-        if a == b + 1:
-            # Convention: the empty slice of a nonempty set is {empty word}.
-            n = min(len(self._packed), 1)
-            return WordSet.from_packed(0, np.zeros(n, dtype=np.uint64), canonical=True)
         width = b - a + 1
         return WordSet.from_packed(width, _window_set(self._packed, range(a, a + 1), width),
                                    canonical=True)
@@ -453,7 +456,11 @@ class WordSet:
 
     @classmethod
     def read_binary(cls, fh: IO[bytes]) -> "WordSet":
-        """Load a `write_binary` file, rejecting any that it could not have written."""
+        """Load a `write_binary` file, rejecting any that it could not have written.
+
+        A seekable `fh` is checked to hold the header's count of words before
+        they are read; any other is read for them, and found short after.
+        """
         header = fh.read(_HEADER.size)
         if len(header) != _HEADER.size:
             raise ValueError(f"truncated header: {len(header)} bytes")
@@ -462,6 +469,10 @@ class WordSet:
             raise ValueError(f"bad magic {magic!r}, expected {_MAGIC!r}")
         if version != _FORMAT_VERSION:
             raise ValueError(f"unsupported format version {version}")
+        if fh.seekable():  # a short file fails here, before `read` allocates 8 * count bytes
+            here = fh.tell()
+            if fh.seek(0, os.SEEK_END) - fh.seek(here) < 8 * count:  # the bytes left
+                raise ValueError("truncated word data")
         data = fh.read(8 * count)
         if len(data) != 8 * count:
             raise ValueError("truncated word data")

@@ -65,6 +65,27 @@ def _binary_file(length, words, extra=b""):
     return io.BytesIO(header + struct.pack(f"<{len(words)}Q", *words) + extra)
 
 
+def test_binary_rejects_a_count_past_the_end_of_a_file(tmp_path):
+    # 2^32 - 1 words claimed, 3 bytes there: a buffered read of all 34 GB they
+    # would take allocates its buffer first, so the file's size is checked first.
+    path = tmp_path / "short.bin"
+    path.write_bytes(struct.pack("<4sBBI", b"RFW1", 1, 5, 2**32 - 1) + bytes(3))
+    with open(path, "rb") as fh, pytest.raises(ValueError, match="truncated word data"):
+        WordSet.read_binary(fh)
+
+
+class Unseekable(io.BytesIO):
+    def seekable(self):
+        return False
+
+
+def test_binary_reads_an_unseekable_stream_for_its_words():
+    data = _binary_file(3, [0, 5, 7]).getvalue()
+    assert WordSet.read_binary(Unseekable(data)) == WordSet.from_packed(3, [0, 5, 7])
+    with pytest.raises(ValueError, match="truncated word data"):
+        WordSet.read_binary(Unseekable(data[:-1]))
+
+
 def test_binary_accepts_valid_hand_built_file():
     ws = WordSet.read_binary(_binary_file(3, [0, 5, 7]))
     assert [str(w) for w in ws] == ["000", "101", "111"]

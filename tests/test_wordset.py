@@ -147,7 +147,7 @@ def test_both_products_match_the_union_of_two_products(pair):
 
 @pytest.mark.parametrize("order", ["sorted", "unsorted", "repeated"])
 def test_member_on_long_queries_matches_set_oracle(order):
-    # Queries longer than `_BLOCK` that fall somewhere are searched in sorted order.
+    # One clamped search answers sorted, unsorted and repeated queries longer than `_BLOCK`.
     rng = np.random.default_rng(11)
     oracle = set(rng.integers(0, 1 << 20, 5000).tolist())
     canonical = np.array(sorted(oracle), dtype=np.uint64)
@@ -164,6 +164,9 @@ def test_member_on_long_queries_matches_set_oracle(order):
 @given(word_set().flatmap(lambda c: st.tuples(
     st.just(c), st.integers(1, c[0].length + 1).flatmap(
         lambda a: st.tuples(st.just(a), st.integers(a - 1, c[0].length))))))
+@example(((packed_set(64, [0, 1 << 63, (1 << 64) - 1]), {0, 1 << 63, (1 << 64) - 1}), (65, 64)))
+@example(((packed_set(0, [0]), {0}), (1, 0)))  # {ε}
+@example(((WordSet(5), set()), (3, 2)))
 def test_slices(case):
     (ws, oracle), (a, b) = case
     got = ws.slices(a, b)
@@ -204,29 +207,20 @@ def test_from_packed_accepts_full_width_words():
 # --- the table and sort paths of _distinct ------------------------------
 
 
-class TableSpy:
-    """Stands in for numpy inside `wordset`, counting the table read-outs."""
-
-    def __init__(self):
-        self.reads = 0
-
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-    def flatnonzero(self, a):
-        self.reads += 1
-        return np.flatnonzero(a)
+def table_calls(fn, *args):
+    """fn(*args), and the width of every table `wordset._table` marked for it."""
+    widths, table = [], wordset._table
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wordset, "_table", lambda width, *rest: widths.append(width) or
+                   table(width, *rest))
+        out = fn(*args)
+    return out, widths
 
 
 def with_path(fn, *args):
-    """fn(*args), and "table" if that read out a direct-address table, else "sort"."""
-    spy = TableSpy()
-    wordset.np = spy
-    try:
-        out = fn(*args)
-    finally:
-        wordset.np = np
-    return out, "table" if spy.reads else "sort"
+    """fn(*args), and "table" if that marked a direct-address table, else "sort"."""
+    out, widths = table_calls(fn, *args)
+    return out, "table" if widths else "sort"
 
 
 def distinct_with_path(chunks, width):
@@ -285,6 +279,37 @@ def test_distinct_merges_a_few_runs_by_a_stable_sort(monkeypatch, runs, kinds):
 def test_distinct_at_the_threshold_of_a_wide_table(items):
     chunks, oracle = random_chunks(np.random.default_rng(items), 22, items, 3)
     assert distinct_with_path(chunks, 22) == (oracle, expected_path(items, 22))
+
+
+@pytest.mark.parametrize("side", ["table", "few_bytes", "too_wide"])
+def test_every_table_pass_marks_one_table_on_its_side_of_the_rule(monkeypatch, side):
+    # Width 10: a table pays from 2^10 bytes, 128 words, unless the cap is below 10.
+    if side == "too_wide":
+        monkeypatch.setattr(wordset, "_TABLE_BITS", 9)
+    n = 127 if side == "few_bytes" else 128
+    rng = np.random.default_rng(n)
+
+    def distinct_values(length, count):
+        return rng.choice(1 << length, count, replace=False).astype(np.uint64)
+
+    ten = distinct_values(10, n)
+    # Twice the words on the table side, so the table takes a head and then a rest.
+    stream = np.array_split(np.tile(ten, 1 if side == "few_bytes" else 2), 8)
+    sets = {"ten": WordSet.from_packed(10, ten), "odd": WordSet.from_packed(10, ten[1::2]),
+            "even": WordSet.from_packed(10, ten[::2]),
+            "slices": WordSet.from_packed(12, distinct_values(12, n)),
+            "factor_set": WordSet.from_packed(12, distinct_values(12, (n + 1) // 3))}
+    passes = {
+        "distinct_array": lambda: wordset._distinct([ten.copy()], 10),
+        "distinct_stream": lambda: wordset._distinct((c.copy() for c in stream), 10),
+        "factor_set": lambda: factor_set(sets["factor_set"], 10),  # 3 windows a word
+        "slices": lambda: sets["slices"].slices(2, 11),
+        "union": lambda: sets["even"].union(sets["odd"]),
+        "reverse": lambda: sets["ten"].reverse(),
+    }
+    for name, run in passes.items():
+        _, widths = table_calls(run)
+        assert widths == ([10] if side == "table" else []), name
 
 
 def test_distinct_empty_input():
