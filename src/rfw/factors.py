@@ -6,9 +6,10 @@ A_{n+1}: A_{n+1} is the union of the products uv of its two halves, and
 the window of uv at offset k is u[k, |u|] v[1, k-1+f_n-|u|], a suffix of u
 followed by a prefix of v, for k = 1..f_{n-1}+1.  Because the products are
 full Cartesian products the window set is exactly (suffix-slice set) x
-(prefix-slice set), unioned over both halves and all offsets.  That is
-what lets the n = 9 row of the numerics table be computed although
-|A_10| ~ 3.8e10.
+(prefix-slice set), unioned over both halves and all offsets, and
+`wordset._product_windows` marks those 2(f_{n-1}+1) pieces' windows in
+aligned table buckets.  That is what lets the n = 9 row of the numerics
+table be computed although |A_10| ~ 3.8e10.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from .inflation import (MAX_ENUMERATED, BudgetError, VerifyResult, check_capacity,
                         enumerate_A, halves)
 from .words import Word, fib
-from .wordset import WordSet, _distinct, _member, _suffix_counts, _window_set
+from .wordset import WordSet, _member, _product_windows, _suffix_counts, _window_set
 
 # Stabilization generation used to define F_n for n <= 3: factor sets of
 # length <= f_3 = 2 are empirically constant from generation 5 on; we use
@@ -90,9 +91,9 @@ def _factor_set_Fn_cached(n: int) -> WordSet:
     f = fib(n)
     if n <= 3:
         return factor_set(enumerate_A(_SMALL_N_SOURCE), f)
-    products = (u.slices(k, u.length).product(v.slices(1, k - 1 + f - u.length)).packed
-                for k in range(1, fib(n - 1) + 2) for u, v in halves(n + 1))
-    return WordSet.from_packed(f, _distinct(products, f), canonical=True)
+    pieces = [(u.slices(k, u.length).packed, v.slices(1, k - 1 + f - u.length).packed,
+               u.length - k + 1) for k in range(1, fib(n - 1) + 2) for u, v in halves(n + 1)]
+    return WordSet.from_packed(f, _product_windows(pieces, f), canonical=True)
 
 
 def factor_set_Fn(n: int, item_cap: int = DEFAULT_ITEM_CAP) -> WordSet:

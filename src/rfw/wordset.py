@@ -1,13 +1,13 @@
 """Immutable, canonically ordered sets of equal-length packed words.
 
-A WordSet holds its members as a sorted, deduplicated numpy uint64 array.
-The canonical order is ascending packed value, which is total and
-deterministic, so two runs produce byte-identical exports.  Bulk operations
-(products, slices, unions) work directly on the packed arrays.  Every
-deduplication takes one of two paths, chosen by `_table_pays`: words of at
-most `_TABLE_BITS` symbols, with at least one input byte per value they could
-take, are marked in `_table`, a direct-address table that reads off in
-ascending order; all others are sorted by `_dedup`.  Neither path hashes.
+A WordSet holds its members as a sorted, deduplicated numpy uint64 array,
+in ascending packed value, a total and deterministic order, so two runs
+produce byte-identical exports.  Bulk operations (products, slices, unions)
+work directly on the packed arrays.  Words of at most `_TABLE_BITS` symbols,
+with at least one input byte per value they could take (`_table_pays`), are
+deduplicated in `_table`, a direct-address table that reads off in ascending
+order, as are F_n's windows, a table per aligned bucket (`_product_windows`);
+all others are sorted by `_dedup`.  Neither path hashes.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import os
 import struct
 import threading
 from functools import cache
-from itertools import chain
 from typing import IO, Callable, Iterable, Iterator
 
 import numpy as np
@@ -29,7 +28,7 @@ _TABLE_BITS = 24
 # Words (or `_suffix_counts` pairs) per block of windows marked in the table: 2^17, 1 MB.
 _BLOCK = 1 << 17
 
-# Most sorted runs in a chunk that `_distinct` sorts stable, merging the runs: on
+# Most sorted runs in the words that `_distinct` sorts stable, merging the runs: on
 # A_9's 3.3M words as built (two runs) that beats quicksort 4x, on its prefixes
 # [1, 31] (four runs) 2.5x, and it loses on five random runs of A_9 (0.82x).
 _FEW_RUNS = 4
@@ -122,46 +121,45 @@ def _table(width: int, n: int, arrays: Callable[[int, int], Iterable[np.ndarray]
     return out
 
 
-def _distinct(chunks: Iterable[np.ndarray], width: int) -> np.ndarray:
-    """Sorted distinct values of uint64 arrays whose entries are all below 2^width.
+def _distinct(words: np.ndarray, width: int) -> np.ndarray:
+    """Sorted distinct values of `words`, a uint64 array whose entries are all below 2^width.
 
-    The one deduplication kernel behind every WordSet; it owns the chunks
-    and may sort them in place, but only reads those that already strictly
-    increase, such as a set's members.  Once the chunks read so far pay for
-    a table (`_table_pays`), `_table` marks them and the rest one by one on
-    the calling thread, so F_8's 44 window pieces start no thread.
-    Otherwise each chunk is deduplicated by `_dedup`, unless it already
-    strictly increases as a product's members do, and merged into the result
-    so far by a stable sort of their concatenation.  The count of steps where
-    a chunk fails to rise picks its sort: at most `_FEW_RUNS` sorted runs,
-    such as the product and the new words in one buffer that make A_n, are
-    merged by a stable sort; others are quicksorted.  A merge of an r-word
-    result and a c-word chunk holds both, their concatenation, the sort's
-    scratch (the shorter run) and then the compacted copy, up to 3(r + c)
-    words: F_9's 44 windows peak near 0.9 GB for a 241 MB result.
+    The one deduplication kernel behind every WordSet; it owns `words` and
+    may sort them in place.  Words that pay for a table (`_table_pays`) are
+    marked by `_table` on the calling thread.  Otherwise `_dedup` sorts them:
+    stable, in linear time, where they are at most `_FEW_RUNS` sorted runs,
+    such as a union's two sets or the product and the new words that make
+    A_n in one buffer, and by quicksort where they are more.
     """
-    chunks = iter(chunks)
-    head, size = [], 0
-    if width <= _TABLE_BITS:
-        for chunk in chunks:
-            head.append(chunk)
-            size += chunk.nbytes
-            if _table_pays(width, size):
-                break
-    if _table_pays(width, size):
-        del chunk  # the last of `head`, which alone holds it from here on
-        popped = (head.pop() for _ in range(len(head)))  # so `head` lets go of each
-        return _table(width, 1, lambda lo, hi: chain(popped, chunks))
-    out = np.empty(0, dtype=np.uint64)
-    for part in (head, chunks):
-        for chunk in part:
-            falls = np.count_nonzero(chunk[1:] <= chunk[:-1])  # k rising runs fall k - 1 times
-            if falls:
-                chunk = _dedup(chunk, kind="stable" if falls < _FEW_RUNS else "quicksort")
-            out = _dedup(np.concatenate([out, chunk]), kind="stable") if len(out) else chunk
-            del chunk  # merged: free it before the next chunk is built
-    out.flags.writeable = False
-    return out
+    if _table_pays(width, words.nbytes):
+        return _table(width, 1, lambda lo, hi: [words])
+    falls = np.count_nonzero(words[1:] <= words[:-1])  # k rising runs fall k - 1 times
+    return _dedup(words, kind="stable" if falls < _FEW_RUNS else "quicksort")
+
+
+def _product_windows(pieces: list[tuple[np.ndarray, np.ndarray, int]], width: int) -> np.ndarray:
+    """Sorted distinct windows s | p << j over the pieces (s, p, j), all below 2^width.
+
+    s and p are strictly increasing uint64 arrays, s < 2^j.  The windows are
+    marked in aligned buckets of 2^g values, g = min(width, `_TABLE_BITS`),
+    each its own `_table` on the calling thread, read off in order: bucket
+    [lo, hi] takes the p in [lo >> j, hi >> j] and the s in [lo mod 2^j,
+    hi mod 2^j], every s where j <= g and one p at most where j > g.  Keys are
+    uint64, as a Python int key makes `searchsorted` convert the whole array.
+    """
+    g = min(width, _TABLE_BITS)
+
+    def bucket(lo: int) -> Iterator[np.ndarray]:
+        hi = lo + (1 << g) - 1
+        for s, p, j in pieces:
+            mask = (1 << j) - 1
+            r0, r1 = np.searchsorted(p, np.array([lo >> j, (hi >> j) + 1], dtype=np.uint64))
+            c0, c1 = np.searchsorted(s, np.array([lo & mask, (hi & mask) + 1], dtype=np.uint64))
+            yield np.add.outer((p[r0:r1] << np.uint64(j)) - np.uint64(lo & ~mask),
+                               s[c0:c1] - np.uint64(lo & mask)).ravel()
+
+    return np.concatenate([_table(g, 1, lambda _lo, _hi: bucket(lo)) + np.uint64(lo)
+                           for lo in range(0, 1 << width, 1 << g)])
 
 
 def _member(canonical: np.ndarray, words: np.ndarray) -> np.ndarray:
@@ -218,10 +216,14 @@ def _window_set(packed: np.ndarray, starts: range, width: int) -> np.ndarray:
     Where the windows pay for a table, `_table` splits the words and each
     worker cuts its own `_BLOCK`-word blocks, every start before the next
     block, so a block is read from cache.  Otherwise `_distinct` takes one
-    whole-set chunk per start, as each chunk costs its sort path a merge.
+    start's windows at a time, and each is merged into those before it.
     """
     if not _table_pays(width, 8 * len(packed) * len(starts)):
-        return _distinct((slice_packed(packed, a, a + width - 1) for a in starts), width)
+        out = np.empty(0, dtype=np.uint64)
+        for a in starts:
+            windows = _distinct(slice_packed(packed, a, a + width - 1), width)
+            out = _distinct(np.concatenate([out, windows]), width) if len(out) else windows
+        return out
     return _table(width, len(packed), lambda lo, hi: (
         slice_packed(packed[b:min(b + _BLOCK, hi)], a, a + width - 1)
         for b in range(lo, hi, _BLOCK) for a in starts))
@@ -272,7 +274,7 @@ def _both_products(u: "WordSet", v: "WordSet") -> "WordSet":
         u, v = v, u
     d = u.length - v.length
     heads = u._packed & np.uint64((1 << d) - 1)  # every t's first d symbols
-    prefixes = _distinct([heads.copy()], d)
+    prefixes = _distinct(heads.copy(), d)
     firsts = np.bitwise_or.outer(prefixes << np.uint64(v.length), v._packed).ravel()
     tail_in_v = _member(v._packed, u._packed >> np.uint64(d))
     # Row k holds the s that make a new word with a t of head k whose tail is in
@@ -289,7 +291,7 @@ def _both_products(u: "WordSet", v: "WordSet") -> "WordSet":
     np.bitwise_or(np.repeat(u._packed << np.uint64(v.length), per_t),
                   np.broadcast_to(v._packed, is_new.shape)[is_new], out=out[size:])
     length = u.length + v.length
-    return WordSet.from_packed(length, _distinct([out], length), canonical=True)
+    return WordSet.from_packed(length, _distinct(out, length), canonical=True)
 
 
 def pack_rows(bits: np.ndarray) -> np.ndarray:
@@ -325,7 +327,7 @@ class WordSet:
                 raise ValueError(f"word of length {w.length} in set of length {length}")
             packed.append(w.bits)
         self.length = length
-        self._packed = _distinct([np.array(packed, dtype=np.uint64)], length)
+        self._packed = _distinct(np.array(packed, dtype=np.uint64), length)
 
     @classmethod
     def from_packed(cls, length: int, packed: np.ndarray, *, canonical: bool = False) -> "WordSet":
@@ -344,7 +346,7 @@ class WordSet:
         else:
             arr = np.array(packed, dtype=np.uint64)
             _check_fits(arr, length)
-            self._packed = _distinct([arr], length)
+            self._packed = _distinct(arr, length)
         return self
 
     @property
@@ -372,8 +374,8 @@ class WordSet:
     def union(self, other: "WordSet") -> "WordSet":
         if self.length != other.length:
             raise ValueError("union of sets with different word lengths")
-        return WordSet.from_packed(self.length, _distinct([self._packed, other._packed],
-                                                          self.length), canonical=True)
+        both = np.concatenate([self._packed, other._packed])
+        return WordSet.from_packed(self.length, _distinct(both, self.length), canonical=True)
 
     def intersection(self, other: "WordSet") -> "WordSet":
         if self.length != other.length:
@@ -410,7 +412,7 @@ class WordSet:
 
     def reverse(self) -> "WordSet":
         rev = reverse_packed(self._packed, self.length)
-        return WordSet.from_packed(self.length, _distinct([rev], self.length), canonical=True)
+        return WordSet.from_packed(self.length, _distinct(rev, self.length), canonical=True)
 
     # --- serialization ------------------------------------------------
 

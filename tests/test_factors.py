@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rfw import cli
+from rfw import cli, wordset
 from rfw import (DEFAULT_ITEM_CAP, ItemCapError, Word, WordSet, c_stat, enumerate_A,
                  factor_set, factor_set_Fn, fa_next_count, factors, fib, format_c,
                  verify_factor_stability, verify_Fn_bound,
@@ -117,6 +117,25 @@ def test_Fn_is_built_once_whatever_the_cap():
     first = factor_set_Fn(8, 10**7)
     assert factor_set_Fn(8, 10**8) is first
     assert factors._factor_set_Fn_cached.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_Fn_is_the_same_in_buckets_of_any_size(monkeypatch, n):
+    # One bucket by default and at g = f_n, two at g = f_n - 1, and 2^(f_n - g)
+    # at g = f_{n-1} - 1, where most pieces are wider than a bucket.
+    f, tables, kernel, table = fib(n), [], factors._product_windows, wordset._table
+
+    def spied(pieces, width):  # counts the tables the kernel marks, not the slices'
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(wordset, "_table", lambda g, *rest: tables.append(g) or table(g, *rest))
+            return kernel(pieces, width)
+
+    monkeypatch.setattr(factors, "_product_windows", spied)
+    for g in (wordset._TABLE_BITS, f, f - 1, fib(n - 1) - 1):
+        monkeypatch.setattr(wordset, "_TABLE_BITS", g)
+        tables.clear()
+        assert factors._factor_set_Fn_cached.__wrapped__(n) == factors._next_factors(n)
+        assert tables == [min(f, g)] * (1 << (f - min(f, g)))
 
 
 @pytest.mark.parametrize("n", range(3, 9))

@@ -92,3 +92,18 @@ def test_a_table_pass_over_A9_reads_it_in_blocks(a9, run):
     # Windows marked in a table are read a block at a time, never as a word array.
     _, peak = traced_peak(lambda: run(a9))
     assert peak <= 0.25 * a9.packed.nbytes
+
+
+def test_windows_past_the_table_merge_one_start_at_a_time(a9):
+    # 25-symbol windows take the sort path: each start's windows are
+    # deduplicated and merged into those of the starts before.  Measured 1.34.
+    _, peak = traced_peak(lambda: factor_set(a9, 25))
+    assert peak <= 1.4 * a9.packed.nbytes
+
+
+@pytest.mark.heavy
+def test_F9_holds_its_pieces_and_its_buckets(a9):
+    # F_9's 44 window pieces (188 MiB), its 1024 buckets' words and their
+    # concatenation (230 MiB each).  Measured 25.6.
+    _, peak = traced_peak(lambda: factors._factor_set_Fn_cached.__wrapped__(9))
+    assert peak <= 27 * a9.packed.nbytes

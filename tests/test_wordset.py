@@ -223,8 +223,8 @@ def with_path(fn, *args):
     return out, "table" if widths else "sort"
 
 
-def distinct_with_path(chunks, width):
-    out, path = with_path(wordset._distinct, chunks, width)
+def distinct_with_path(words, width):
+    out, path = with_path(wordset._distinct, words, width)
     assert out.dtype == np.uint64 and not out.flags.writeable
     return [int(x) for x in out], path
 
@@ -256,29 +256,29 @@ def random_chunks(rng, width, items, parts, runs=0):
 def test_distinct_matches_set_oracle(width, offset, parts, seed, runs):
     # Item counts straddle the table threshold 2^width / 8 while that stays
     # small; above 2^17 values the counts are kept small (sort path).  With
-    # `runs`, chunks are sorted runs, so the sort path merges the few-run
-    # ones by a stable sort and quicksorts the rest.
+    # `runs`, the words are parts x runs sorted runs, so the sort path merges
+    # the few-run ones by a stable sort and quicksorts the rest.
     items = max((1 << width) // 8 + offset, 0) if width <= 17 else 200 + offset
     chunks, oracle = random_chunks(np.random.default_rng(seed), width, items, parts, runs)
-    items = sum(map(len, chunks))  # runs drop the repeats within each run
-    assert distinct_with_path(chunks, width) == (oracle, expected_path(items, width))
+    words = np.concatenate(chunks)  # runs drop the repeats within each run
+    assert distinct_with_path(words, width) == (oracle, expected_path(len(words), width))
 
 
-@pytest.mark.parametrize("runs,kinds", [(1, []), (2, ["stable"]), (4, ["stable"]),
+@pytest.mark.parametrize("runs,kinds", [(1, ["stable"]), (2, ["stable"]), (4, ["stable"]),
                                         (5, ["quicksort"]), (40, ["quicksort"])])
 def test_distinct_merges_a_few_runs_by_a_stable_sort(monkeypatch, runs, kinds):
     chunks, oracle = random_chunks(np.random.default_rng(runs), 40, 400, 1, runs)
     sorts, dedup = [], wordset._dedup
     monkeypatch.setattr(wordset, "_dedup",
                         lambda owned, kind="quicksort": sorts.append(kind) or dedup(owned, kind))
-    assert distinct_with_path(chunks, 40) == (oracle, "sort")
+    assert distinct_with_path(chunks[0], 40) == (oracle, "sort")
     assert sorts == kinds
 
 
 @pytest.mark.parametrize("items", [(1 << 19) - 1, 1 << 19])
 def test_distinct_at_the_threshold_of_a_wide_table(items):
     chunks, oracle = random_chunks(np.random.default_rng(items), 22, items, 3)
-    assert distinct_with_path(chunks, 22) == (oracle, expected_path(items, 22))
+    assert distinct_with_path(np.concatenate(chunks), 22) == (oracle, expected_path(items, 22))
 
 
 @pytest.mark.parametrize("side", ["table", "few_bytes", "too_wide"])
@@ -293,15 +293,12 @@ def test_every_table_pass_marks_one_table_on_its_side_of_the_rule(monkeypatch, s
         return rng.choice(1 << length, count, replace=False).astype(np.uint64)
 
     ten = distinct_values(10, n)
-    # Twice the words on the table side, so the table takes a head and then a rest.
-    stream = np.array_split(np.tile(ten, 1 if side == "few_bytes" else 2), 8)
     sets = {"ten": WordSet.from_packed(10, ten), "odd": WordSet.from_packed(10, ten[1::2]),
             "even": WordSet.from_packed(10, ten[::2]),
             "slices": WordSet.from_packed(12, distinct_values(12, n)),
             "factor_set": WordSet.from_packed(12, distinct_values(12, (n + 1) // 3))}
     passes = {
-        "distinct_array": lambda: wordset._distinct([ten.copy()], 10),
-        "distinct_stream": lambda: wordset._distinct((c.copy() for c in stream), 10),
+        "distinct_array": lambda: wordset._distinct(ten.copy(), 10),
         "factor_set": lambda: factor_set(sets["factor_set"], 10),  # 3 windows a word
         "slices": lambda: sets["slices"].slices(2, 11),
         "union": lambda: sets["even"].union(sets["odd"]),
@@ -313,8 +310,8 @@ def test_every_table_pass_marks_one_table_on_its_side_of_the_rule(monkeypatch, s
 
 
 def test_distinct_empty_input():
-    assert distinct_with_path([], 5) == ([], "sort")
-    assert distinct_with_path([np.empty(0, dtype=np.uint64)], 40) == ([], "sort")
+    assert distinct_with_path(np.empty(0, dtype=np.uint64), 5) == ([], "sort")
+    assert distinct_with_path(np.empty(0, dtype=np.uint64), 40) == ([], "sort")
 
 
 @pytest.mark.parametrize("ell", [16, 24, 25, 33])
@@ -334,10 +331,10 @@ def test_factor_set_on_both_sides_of_the_table_cap(ell):
 @pytest.mark.parametrize("n,ell", [(8, 8), (8, 13), (8, 18), (9, 21)])
 def test_table_windows_of_A_match_the_sort(n, ell):
     a = enumerate_A(n)
-    windows = [wordset.slice_packed(a.packed, k, k + ell - 1)
-               for k in range(1, a.length - ell + 2)]
-    assert expected_path(sum(map(len, windows)), ell) == "table"
-    by_sort = wordset._dedup(np.concatenate(windows))
+    windows = np.concatenate([wordset.slice_packed(a.packed, k, k + ell - 1)
+                              for k in range(1, a.length - ell + 2)])
+    assert expected_path(len(windows), ell) == "table"
+    by_sort = wordset._dedup(windows.copy())
     got, path = distinct_with_path(windows, ell)
     assert path == "table"
     assert np.array_equal(np.array(got, dtype=np.uint64), by_sort)
@@ -354,6 +351,46 @@ def test_union_on_either_path_of_distinct(width, items, path):
     assert took == path == expected_path(len(a) + len(b), width)
     assert members(got) == sorted(set(before[0].tolist()) | set(before[1].tolist()))
     assert np.array_equal(a.packed, before[0]) and np.array_equal(b.packed, before[1])
+
+
+# --- F_n's window pieces, marked in aligned table buckets -------------------
+
+
+def u64(*values):
+    return np.array(values, dtype=np.uint64)
+
+
+@st.composite
+def window_pieces(draw, width):
+    """A piece (s, p, j) of windows s | p << j below 2^width: s and p strictly
+    increasing, either possibly empty, their edge values likely."""
+    j = draw(st.integers(0, width))
+
+    def side(bits):
+        top = (1 << bits) - 1
+        value = st.one_of(st.just(0), st.just(top), st.integers(0, top))
+        return u64(*sorted(draw(st.sets(value, max_size=6))))
+
+    return side(j), side(width - j), j
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 9).flatmap(lambda w: st.tuples(st.just(w),
+                                                     st.lists(window_pieces(w), max_size=4))),
+       st.integers(0, 6))
+@example((6, [(u64(0, 63), u64(0), 6), (u64(0), u64(0, 63), 0)]), 2)  # j > g; the empty slice
+@example((6, [(u64(), u64(1), 3), (u64(5), u64(), 3)]), 6)  # an empty side, one bucket
+def test_product_windows_match_a_set_oracle(case, table_bits):
+    # A table cap of 0..6 bits puts pieces on both sides of g and leaves
+    # buckets that hold no window of a piece, or of any.
+    width, pieces = case
+    oracle = {s | p << j for ss, ps, j in pieces for s in ss.tolist() for p in ps.tolist()}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wordset, "_TABLE_BITS", table_bits)
+        got, widths = table_calls(wordset._product_windows, pieces, width)
+    g = min(width, table_bits)
+    assert got.dtype == np.uint64 and got.tolist() == sorted(oracle)
+    assert widths == [g] * (1 << (width - g))
 
 
 # --- blocked windows and the reversal table, against the slow paths --------
@@ -467,7 +504,7 @@ def test_two_workers_give_what_one_gives(shape, count, block, seed):
     small = min(width, 20)
     items = max((1 << small) // 8 + count - 200, 0)
     chunks, oracle = random_chunks(rng, small, items, 1 + seed % 4, runs=seed % 3 * 20)
-    assert on_each_worker_count(lambda: wordset._distinct([c.copy() for c in chunks], small),
+    assert on_each_worker_count(lambda: wordset._distinct(np.concatenate(chunks), small),
                                 block) == oracle
     repeats = rng.permutation(np.repeat(words, rng.integers(1, 4, count)))
     assert on_each_worker_count(lambda: wordset._dedup(repeats.copy()), block) == \
@@ -500,17 +537,8 @@ def test_two_workers_reach_every_split_pass(monkeypatch, thread_starts, run):
 
 
 def test_many_workers_take_every_chunk_once():
-    # More workers than cores and a short switch interval: a chunk taken
-    # twice or lost, or a window left unmarked, shows here.
-    rng = np.random.default_rng(8)
-    chunks = [rng.integers(0, 1 << 10, 5, dtype=np.uint64) for _ in range(2000)]
-    taken = []
-
-    def source():
-        for chunk in chunks:
-            taken.append(len(taken))
-            yield chunk.copy()
-
+    # More workers than cores and a short switch interval: a block of words
+    # cut twice or skipped, or a window left unmarked, shows here.
     oracle = per_window(ws_40.packed, range(1, 32), 10)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -518,12 +546,9 @@ def test_many_workers_take_every_chunk_once():
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(wordset, "_WORKERS", 8)
             mp.setattr(wordset, "_BLOCK", 1)
-            got = wordset._distinct(source(), 10)
             windows = factor_set(ws_40, 10)
     finally:
         sys.setswitchinterval(interval)
-    assert taken == list(range(len(chunks)))
-    assert got.tolist() == sorted(set(np.concatenate(chunks).tolist()))
     assert windows.packed.tolist() == oracle
 
 
@@ -531,7 +556,7 @@ def test_distinct_marks_a_wide_table_on_the_calling_thread(monkeypatch, thread_s
     monkeypatch.setattr(wordset, "_WORKERS", 2)
     monkeypatch.setattr(wordset, "_BLOCK", 1)
     values = np.random.default_rng(20).integers(0, 1 << 20, 1 << 17, dtype=np.uint64)
-    assert distinct_with_path([values.copy()], 20) == (sorted(set(values.tolist())), "table")
+    assert distinct_with_path(values.copy(), 20) == (sorted(set(values.tolist())), "table")
     assert thread_starts == []
 
 
