@@ -32,9 +32,10 @@ from .wordset import render_packed
 _EXIT_FAIL = 1
 _EXIT_RESOURCE = 2
 
-# Chains `sample` draws, checks and prints at a time.  Blocks of 4096 would
-# add about 5 MB to the command's peak memory.
-_SAMPLE_BLOCK = 256
+# Chains `sample` draws, checks and prints at a time.  The block's text and
+# check scratch grow with it: blocks of 2048 saved about 1.5 ms of 40 on
+# `sample -n 10 --count 20000` and added about 0.1 MB to its maximum RSS.
+_SAMPLE_BLOCK = 1024
 
 
 def _blank(x) -> str:
@@ -215,12 +216,14 @@ def cmd_export(args) -> int:
     return _write_set(lambda: inflation.enumerate_A(args.n), args)
 
 
-def _at_least(low: int):
-    """argparse type: an int no smaller than `low`."""
+def _at_least(low: int, below: int | None = None):
+    """argparse type: an int no smaller than `low` and, if given, below `below`."""
     def parse(text: str) -> int:
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"{value} is below {low}")
+        if below is not None and value >= below:
+            raise argparse.ArgumentTypeError(f"{value} is not below {below}")
         return value
     return parse
 
@@ -257,7 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="sample random inflation chains")
     p.add_argument("-n", type=int, required=True)
     p.add_argument("-p", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0, below=1 << 64), default=0,
+                   help="generator seed, 0 <= SEED < 2^64")
     p.add_argument("--count", type=_at_least(0), default=1)
     p.add_argument("--check", action="store_true",
                    help="assert each sample is a member of the enumerated set")

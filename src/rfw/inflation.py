@@ -23,12 +23,12 @@ from bisect import bisect_left
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import cache, lru_cache, partial
 
 import numpy as np
 
 from .words import CapacityError, Word, fibs
-from .wordset import WordSet, _both_products, _member, pack_rows, reverse_packed, slice_packed
+from .wordset import WordSet, _both_products, _member, reverse_packed, slice_packed
 
 DEFAULT_BUDGET = 10**8
 
@@ -74,16 +74,31 @@ class PrngHandle:
     def coins(self, p: float, k: int) -> np.ndarray:
         """The next k coins as a bool array: what k calls of `coin(p)` return.
 
-        `random()` is ((a >> 5) * 2^26 + (b >> 6)) / 2^53 for the generator's
-        next two 32-bit outputs a and b, and `getrandbits` fills its result
-        with those outputs in turn from the least significant 32-bit word up
-        (CPython's Mersenne Twister; the tests compare this with `coin`).  So
-        one call reads the stream k calls of `random()` would, and the same
-        float arithmetic gives the same comparisons.
+        `random()` is x / 2^53 with x = (a >> 5) * 2^26 + (b >> 6) for the
+        generator's next two 32-bit outputs a and b, and `getrandbits` fills
+        its result with those outputs in turn from the least significant
+        32-bit word up (CPython's Mersenne Twister; the tests compare this
+        with `coin`).  So one call reads the stream k calls of `random()`
+        would, and `random() < p` is x < t for t = `_threshold(p)`, compared
+        in two 32-bit halves.
         """
         words = self._rng.getrandbits(64 * k).to_bytes(8 * k, "little")
         a, b = np.frombuffer(words, dtype="<u4").reshape(k, 2).T
-        return ((a >> 5) * 67108864.0 + (b >> 6)) * (1.0 / 9007199254740992.0) < p
+        t = _threshold(p)
+        # x < t iff a >> 5 < t >> 26, or equal and b >> 6 < t mod 2^26, that is
+        # iff a >> 5 < t >> 26 + [b >> 6 < t mod 2^26].
+        return a >> 5 < np.add(b >> 6 < t & (1 << 26) - 1, t >> 26, dtype=np.uint32)
+
+
+def _threshold(p: float) -> int:
+    """ceil(p 2^53) within [0, 2^53]: a 53-bit x has x / 2^53 < p iff x is below it.
+
+    p 2^53 is exact for every finite p < 1; NaN and p <= 0 admit no x,
+    p >= 1 every x, as `random() < p` does.
+    """
+    if not p > 0.0:
+        return 0
+    return 1 << 53 if p >= 1.0 else math.ceil(math.ldexp(p, 53))
 
 
 # --- sampler ----------------------------------------------------------
@@ -128,29 +143,76 @@ def check_chain(n: int, p: float = 0.0) -> None:
         raise ValueError(f"probability {p} outside [0, 1]")
 
 
+#: Coins `sample_packed` draws at a time: 64 KB of generator output, the
+#: coins of 148 chains at n = 10.
+_COIN_BLOCK = 1 << 13
+
+
+@cache
+def _step8() -> np.ndarray:
+    """One inflation step of every 8-symbol byte b under every 8 coins c: 128 KB.
+
+    Entry b << 8 | c holds the 8 + popcount(b) output symbols.  Each symbol
+    emits one 1 at its output start s, except a 1 whose coin is set (bit k
+    of c for the k-th 1 of b): it emits 01, its 1 at s + 1, which adds 2^s.
+    So row b is its all-tails word plus a subset sum of its moves, filled in
+    one coin at a time.  Bits of c past popcount(b) are the next byte's
+    coins, unread here.
+    """
+    tails, moves = [], []
+    for b in range(256):
+        s, word, up = 0, 0, []
+        for i in range(8):
+            word |= 1 << s
+            if b >> i & 1:
+                up.append(1 << s)
+            s += 1 + (b >> i & 1)
+        tails.append(word)
+        moves.append(up + [0] * (8 - len(up)))
+    table = np.empty((256, 256), dtype=np.uint16)
+    table[:, 0] = tails
+    for k, move in enumerate(np.array(moves, dtype=np.uint16).T):
+        np.add(table[:, :1 << k], move[:, None], out=table[:, 1 << k:2 << k])
+    return table.ravel()
+
+
 def sample_packed(n: int, p: float, rng: PrngHandle, count: int) -> np.ndarray:
     """Packed words r_n of `count` chains, each n-1 inflation steps from 0.
 
     Equal to `count` chains of `inflate_step` drawn one after the other from
     the same handle.  r_m has f_{m-1} ones, so a chain uses f_n - 1 coins:
-    chain k takes coins [k(f_n - 1), (k+1)(f_n - 1)) of the stream, step by
-    step, and within a step one per 1 in position order.  Every symbol emits
-    exactly one 1, a 0 at its output start s and a 1 at s + coin, so a step
-    over all chains is a cumulative sum of symbol widths and one scatter.
+    chain k takes coins [k(f_n - 1), (k+1)(f_n - 1)) of the stream, packed
+    into one word in stream order, and each step reads its next f_{m-1}.
+    A step takes every chain through one `_step8` lookup per 8 symbols:
+    byte j's output starts at 8j plus the 1s (coins) before it.  The zeros
+    padding the last byte inflate to 1s past f_{m+1}, which the mask drops.
     """
     check_chain(n, p)
     f = fibs(n)
-    coins = rng.coins(p, count * (f[n] - 1)).reshape(count, f[n] - 1).view(np.uint8)
-    sym = np.zeros((count, 1), dtype=np.uint8)
+    # Coin j of a chain is bit j of its word; f_n - 1 <= 54 coins leave the top byte 0.
+    coins = np.zeros(count, dtype="<u8")
+    packed = coins.view(np.uint8).reshape(count, 8)[:, :(f[n] + 6) // 8]
+    chains = _COIN_BLOCK // f[n]
+    for lo in range(0, count, chains):
+        hi = min(lo + chains, count)
+        drawn = rng.coins(p, (hi - lo) * (f[n] - 1)).reshape(hi - lo, f[n] - 1)
+        packed[lo:hi] = np.packbits(drawn, axis=1, bitorder="little")
+    table, sym = _step8(), np.zeros(count, dtype="<u8")
+    # Row k read as a little-endian uint16 is byte << 8 | coins of chain k.
+    pair = np.empty((count, 2), dtype=np.uint8)
     for m in range(1, n):
-        # Step m reads coins [f_m - 1, f_{m+1} - 1) of each chain.
-        late = np.zeros_like(sym)
-        late[sym.view(bool)] = coins[:, f[m] - 1:f[m + 1] - 1].ravel()
-        width = sym + 1
-        start = np.cumsum(width, axis=1, dtype=np.intp) - width
-        sym = np.zeros((count, f[m + 1]), dtype=np.uint8)
-        np.put_along_axis(sym, start + late, 1, axis=1)
-    return pack_rows(sym)
+        by_byte = sym.view(np.uint8).reshape(count, 8)
+        sym = np.zeros(count, dtype="<u8")
+        at = np.zeros(count, dtype=np.uint8)
+        for j in range((f[m] + 7) // 8):
+            pair[:, 0] = coins.view(np.uint8)[::8]
+            pair[:, 1] = by_byte[:, j]
+            sym |= table[pair.view("<u2")[:, 0]].astype(np.uint64) << at
+            ones = np.bitwise_count(by_byte[:, j])
+            coins >>= ones
+            at += 8 + ones
+        sym &= np.uint64((1 << f[m + 1]) - 1)
+    return sym
 
 
 def sample_chain(n: int, p: float, rng: PrngHandle) -> Word:

@@ -307,6 +307,8 @@ def test_bad_values_exit_2_with_one_line(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("argv", [
     ("sample", "-n", "5", "--count", "-3"),
+    ("sample", "-n", "5", "--seed", "-1"),
+    ("sample", "-n", "5", "--seed", str(-(1 << 64))),
     ("--item-cap", "0", "factors", "-n", "4"),
     ("table", "--max-n", "-1"),
     ("entropy", "--max-n", "-3"),
@@ -317,6 +319,21 @@ def test_out_of_range_flags_are_usage_errors(capsys, argv):
         main(list(argv))
     assert exc.value.code == 2
     assert "is below" in capsys.readouterr().err
+
+
+def test_a_seed_of_65_bits_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sample", "-n", "5", "--seed", str(1 << 64)])
+    assert exc.value.code == 2
+    assert f"{1 << 64} is not below {1 << 64}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [0, (1 << 64) - 1])
+def test_the_extreme_seeds_keep_their_streams(capsys, seed):
+    code, out, _ = run(capsys, "sample", "-n", "8", "--seed", str(seed), "--count", "3")
+    assert code == 0
+    rng = PrngHandle(seed)
+    assert out == "".join(f"{rfw.sample_chain(8, 0.5, rng)}\n" for _ in range(3))
 
 
 def test_sample_count_zero_prints_nothing(capsys):

@@ -6,6 +6,7 @@ does F_9's refusal at the default item cap, which reads them.  Building A_9
 holds one buffer of its words, A_8·A_7 and then the new words of A_7·A_8,
 plus the scratch that lists those, and sorts no more than that buffer.
 numpy reports its buffers to tracemalloc, so the traced peak counts them.
+The sampler holds a few words a chain, whatever the number of chains.
 """
 
 import os
@@ -14,7 +15,7 @@ from io import BytesIO
 
 import pytest
 
-from rfw import WordSet, enumerate_A, factor_set, factors, inflation, wordset
+from rfw import PrngHandle, WordSet, enumerate_A, factor_set, factors, inflation, wordset
 
 
 def traced_peak(fn):
@@ -99,6 +100,15 @@ def test_windows_past_the_table_merge_one_start_at_a_time(a9):
     # deduplicated and merged into those of the starts before.  Measured 1.34.
     _, peak = traced_peak(lambda: factor_set(a9, 25))
     assert peak <= 1.4 * a9.packed.nbytes
+
+
+def test_sampling_holds_a_few_words_a_chain():
+    # Coins are drawn a block at a time and packed one word a chain; drawing
+    # them all at once held about 1,080 bytes a chain.  Measured 38.
+    count = 200_000
+    words, peak = traced_peak(lambda: inflation.sample_packed(10, 0.5, PrngHandle(5), count))
+    assert len(words) == count
+    assert peak <= 128 * count
 
 
 @pytest.mark.heavy

@@ -1,3 +1,6 @@
+import math
+from itertools import chain
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -166,3 +169,84 @@ def test_sample_chain_is_one_chain_of_sample_packed(n, p, seed):
         w = sample_chain(n, p, single)
         assert (w.bits, w.length) == (int(sample_packed(n, p, batch, 1)[0]), fib(n))
     assert single.coin(0.5) == batch.coin(0.5)
+
+
+# --- the edges of the coin comparison ----------------------------------
+
+EDGES = [math.nan, -0.0, 0.0, -1.0, 2.0, math.inf, -math.inf, 5e-324, 1 - 2**-53, 1.0]
+
+
+@pytest.mark.parametrize("p", EDGES, ids=repr)
+@settings(max_examples=20)
+@given(seed=SEED, k=st.integers(0, 40))
+def test_coins_are_the_coin_stream_at_the_edges(p, seed, k):
+    # Values outside [0, 1] that `coin` still answers, both zeros, and the p
+    # nearest 0 and 1 from inside.
+    batch, oracle = PrngHandle(seed), PrngHandle(seed)
+    assert batch.coins(p, k).tolist() == [oracle.coin(p) for _ in range(k)]
+    assert batch.coin(0.5) == oracle.coin(0.5)
+
+
+@settings(max_examples=100)
+@given(SEED, st.integers(0, 20), st.sampled_from([-math.inf, math.inf]))
+def test_a_draw_one_step_from_p_falls_on_its_side(seed, k, towards):
+    probe, oracle = PrngHandle(seed), PrngHandle(seed)
+    p = math.nextafter([probe._rng.random() for _ in range(k + 1)][k], towards)
+    coins = PrngHandle(seed).coins(p, k + 1)
+    assert coins.tolist() == [oracle.coin(p) for _ in range(k + 1)]
+    assert coins[k] == (towards > 0)
+
+
+# --- every coin sequence, by both samplers ------------------------------
+
+
+class ScriptedCoins:
+    """A coin source that hands out fixed coins, through `coin` or `coins`, whatever p."""
+
+    def __init__(self, coins):
+        self.script = list(coins)
+        self.used = 0
+
+    def coin(self, p):
+        self.used += 1
+        return self.script[self.used - 1]
+
+    def coins(self, p, k):
+        self.used += k
+        return np.array(self.script[self.used - k:self.used], dtype=bool)
+
+
+def bits(value, k):
+    return [value >> j & 1 == 1 for j in range(k)]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_every_coin_sequence_gives_the_same_word_by_both_samplers(n):
+    # All 2^(f_n - 1) coin sequences of a chain, 4096 at n = 7: their words
+    # are A_n, and the block sampler and the per-symbol rule agree on each.
+    k = fib(n) - 1
+    script = list(chain.from_iterable(bits(s, k) for s in range(1 << k)))
+    batch, single = ScriptedCoins(script), ScriptedCoins(script)
+    packed = sample_packed(n, 0.5, batch, 1 << k)
+    words = [sample_chain(n, 0.5, single).bits for _ in range(1 << k)]
+    assert batch.used == single.used == len(script)
+    assert packed.tolist() == words
+    assert set(words) == set(enumerate_A(n).packed.tolist())
+
+
+def test_step_table_is_inflate_step_on_every_byte_and_its_coins():
+    table = inflation._step8()
+    assert table.dtype == np.uint16 and table.shape == (1 << 16,)
+    # The 3^8 entries whose coins past popcount(b) are 0, one per byte and coin sequence.
+    got, want = [], []
+    for b in range(256):
+        ones = b.bit_count()
+        for c in range(1 << ones):
+            w = inflate_step(Word(b, 8), 0.5, ScriptedCoins(bits(c, ones)))
+            got.append((int(table[b << 8 | c]), 8 + ones))
+            want.append((w.bits, w.length))
+    assert len(got) == 3**8 and got == want
+    # The coins past popcount(b) are the next byte's: no entry reads them.
+    b, c = np.divmod(np.arange(1 << 16), 256)
+    read = (1 << np.bitwise_count(b).astype(np.int64)) - 1
+    assert (table == table[b << 8 | c & read]).all()
