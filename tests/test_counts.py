@@ -367,12 +367,17 @@ def test_fft_len_bisect_matches_the_min_scan(n):
     assert inflation._fft_len(n) == min_scan_fft_len(n)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 40), st.integers(0, 3 * BIG))
-@example(3, 2 * BIG)
-@example(39, 3 * BIG)
-def test_pow_by_squaring_is_the_plain_power(b, e):
-    assert inflation._pow(b, e) == b**e
+@pytest.mark.parametrize("n", range(3, 61))
+def test_explicit_exponents_group_the_bases_by_odd_part(n):
+    # One term of the closed product at a time, no big int built.
+    odd, twos = inflation._split(n - 1)
+    exps = {}
+    for i in range(2, n):
+        b, e = inflation._split(n - i)
+        twos += e * fib(i - 2)
+        if b > 1:
+            exps[b] = exps.get(b, 0) + fib(i - 2)
+    assert inflation._explicit_exponents(n) == (odd, twos, exps)
 
 
 def test_explicit_route_squares_through_mul(irfft_calls):
@@ -380,3 +385,24 @@ def test_explicit_route_squares_through_mul(irfft_calls):
     clear_caches()
     assert count_A_explicit(30) == explicit_loop(30)
     assert irfft_calls
+
+
+def test_explicit_route_is_one_squaring_chain(monkeypatch, irfft_calls):
+    # Every product the FFT takes is a squaring, at most one per bit of the
+    # largest exponent: no power is raised apart and multiplied in.
+    squares = []
+    real = inflation._mul
+
+    def spy(a, b):
+        before = len(irfft_calls)
+        out = real(a, b)
+        if len(irfft_calls) > before:
+            squares.append(a is b)
+        return out
+
+    monkeypatch.setattr(inflation, "_mul", spy)
+    clear_caches()
+    count_A_explicit(33)
+    _, _, exps = inflation._explicit_exponents(33)
+    assert squares and all(squares)
+    assert len(squares) <= max(exps.values()).bit_length()

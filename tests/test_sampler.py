@@ -121,6 +121,14 @@ def test_coins_are_the_coin_stream(p, seed, k):
     assert batch.coin(p) == oracle.coin(p)
 
 
+@pytest.mark.parametrize("seed", [-1, 1 << 64, -(1 << 64)])
+def test_seeds_outside_64_bits_are_refused_not_aliased(seed):
+    # Masked to 64 bits, -1 would be 2^64 - 1 and 2^64 would be 0.
+    with pytest.raises(ValueError, match="outside"):
+        PrngHandle(seed)
+    assert PrngHandle((1 << 64) - 1).seed == (1 << 64) - 1
+
+
 @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
 def test_no_coins_leave_the_stream_where_it_was(p):
     handle, fresh = PrngHandle(11), PrngHandle(11)
