@@ -154,7 +154,8 @@ def cmd_verify(args) -> int:
         # At max_n = MAX_ENUMERATED every property has at least one check.
         unknown = wanted - {prop for prop, _, _ in _verify_checks(MAX_ENUMERATED, args.item_cap)}
         if unknown:
-            raise ValueError(f"unknown property {', '.join(sorted(unknown))}")
+            names = ", ".join(name or "''" for name in sorted(unknown))  # name the empty entry
+            raise ValueError(f"unknown property {names}")
     failures = limited = ran = 0
     for prop, label, thunk in _verify_checks(args.max_n, args.item_cap):
         if wanted is not None and prop not in wanted:

@@ -18,6 +18,7 @@ whose limit, the topological entropy of the chain, is summed from its series.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from bisect import bisect_left
 from collections.abc import Callable
@@ -64,6 +65,7 @@ class PrngHandle:
     __slots__ = ("seed", "_rng")
 
     def __init__(self, seed: int) -> None:
+        seed = operator.index(seed)  # TypeError for a float, whose stream no int seed gives
         if not 0 <= seed < 1 << 64:
             raise ValueError(f"seed {seed} outside [0, 2^64)")
         self.seed = seed

@@ -84,7 +84,7 @@ def test_criterion_3_heavy_gmp_range():
 @pytest.mark.heavy
 def test_criterion_3_heavy_plain_ints():
     # Without gmpy2: the three routes in plain ints, their large products
-    # through the FFT kernel.  About 20 s and 250 MB; |A_40| has 6.6e7 bits.
+    # through the FFT kernel.  About 5-7 s and 240 MB; |A_40| has 6.6e7 bits.
     for n in range(41):
         assert rfw.count_A_long(n) == rfw.count_A_short(n) == rfw.count_A_explicit(n), n
     announce("3-heavy-int", "three formulas agree in plain ints for n <= 40")

@@ -139,6 +139,14 @@ def test_verify_selected_prop(capsys):
     assert "factor-instability-n3" in out
 
 
+@pytest.mark.parametrize("prop, named", [
+    ("reversal,", "''"), ("reversal,,cut-bound", "''"), ("", "''"), ("bogus", "bogus"),
+    (",zz,bogus", "'', bogus, zz")])
+def test_verify_names_every_unknown_property(capsys, prop, named):
+    code, out, err = run(capsys, "verify", "--prop", prop)
+    assert (code, out, err) == (2, "", f"verify: unknown property {named}\n")
+
+
 def test_verify_reports_limits_and_goes_on(capsys):
     code, out, err = run(capsys, "--item-cap", "10", "verify", "--max-n", "5",
                          "--prop", "reversal,factor-bound")

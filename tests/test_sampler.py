@@ -129,6 +129,15 @@ def test_seeds_outside_64_bits_are_refused_not_aliased(seed):
     assert PrngHandle((1 << 64) - 1).seed == (1 << 64) - 1
 
 
+@pytest.mark.parametrize("seed", [1.5, 2.0, "2"])
+def test_seeds_that_are_not_ints_are_refused(seed):
+    with pytest.raises(TypeError):
+        PrngHandle(seed)
+    handle = PrngHandle(np.uint64(2))  # an integer type other than int is taken as its value
+    assert type(handle.seed) is int
+    assert handle.coins(0.5, 64).tolist() == PrngHandle(2).coins(0.5, 64).tolist()
+
+
 @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
 def test_no_coins_leave_the_stream_where_it_was(p):
     handle, fresh = PrngHandle(11), PrngHandle(11)

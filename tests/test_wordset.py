@@ -485,7 +485,7 @@ def reversed_by_string(words, length):
        st.integers(0, 400), st.integers(1, 8), st.integers(0, 2**32 - 1))
 def test_two_workers_give_what_one_gives(shape, count, block, seed):
     # Blocks of at most 8 words, so that two workers split nearly every pass:
-    # the window marking, the sorts and the reversal from 16 words.
+    # the window marking and the sorts from 16 words.
     length, width, a = shape
     a = min(a, length - width + 1)
     rng = np.random.default_rng(seed)
@@ -525,15 +525,31 @@ ws_40 = WordSet.from_packed(40, np.random.default_rng(40).integers(0, 1 << 40, 6
 
 @pytest.mark.parametrize("run", [
     lambda: factor_set(ws_40, 6), lambda: ws_40.slices(3, 8), lambda: factor_set(ws_40, 30),
-    lambda: wordset.reverse_packed(ws_40.packed, 40), ws_40.reverse,
-    lambda: wordset._dedup(ws_40.packed[::-1].copy())],
-    ids=["factor_set_table", "slices_table", "factor_set_sort", "reverse_packed", "reverse",
-         "dedup"])
+    ws_40.reverse, lambda: wordset._dedup(ws_40.packed[::-1].copy())],
+    ids=["factor_set_table", "slices_table", "factor_set_sort", "reverse", "dedup"])
 def test_two_workers_reach_every_split_pass(monkeypatch, thread_starts, run):
     monkeypatch.setattr(wordset, "_WORKERS", 2)
     monkeypatch.setattr(wordset, "_BLOCK", 8)
     run()
     assert thread_starts
+
+
+def test_reverse_packed_runs_on_the_calling_thread(monkeypatch, thread_starts):
+    monkeypatch.setattr(wordset, "_WORKERS", 2)
+    monkeypatch.setattr(wordset, "_BLOCK", 8)
+    assert wordset.reverse_packed(ws_40.packed, 40).tolist() == \
+        reversed_by_string(ws_40.packed, 40)
+    assert thread_starts == []
+
+
+@pytest.mark.parametrize("view", [lambda w: w[::3], lambda w: w[::-1], lambda w: w[:0]],
+                         ids=["strided", "reversed", "empty"])
+def test_reverse_packed_reads_any_view_as_its_copy(monkeypatch, view):
+    monkeypatch.setattr(wordset, "_BLOCK", 8)  # blocks of 2 words, so views span several
+    words = view(ws_40.packed)
+    got = wordset.reverse_packed(words, 40)
+    assert np.array_equal(got, wordset.reverse_packed(words.copy(), 40))
+    assert got.tolist() == reversed_by_string(words, 40)
 
 
 def test_many_workers_take_every_chunk_once():
