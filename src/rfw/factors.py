@@ -26,11 +26,6 @@ from .inflation import (MAX_ENUMERATED, BudgetError, VerifyResult, check_capacit
 from .words import Word, fib
 from .wordset import WordSet, _member, _product_windows, _suffix_counts, _window_set
 
-# Stabilization generation used to define F_n for n <= 3: factor sets of
-# length <= f_3 = 2 are empirically constant from generation 5 on; we use
-# generation 7 and assert agreement with generation 8 in the test suite.
-_SMALL_N_SOURCE = 7
-
 DEFAULT_ITEM_CAP = 1 << 26
 
 
@@ -90,7 +85,7 @@ def _next_factors(n: int) -> WordSet:
 def _factor_set_Fn_cached(n: int) -> WordSet:
     f = fib(n)
     if n <= 3:
-        return factor_set(enumerate_A(_SMALL_N_SOURCE), f)
+        return factor_set(_factor_set_Fn_cached(4), f)
     pieces = [(u.slices(k, u.length).packed, v.slices(1, k - 1 + f - u.length).packed,
                u.length - k + 1) for k in range(1, fib(n - 1) + 2) for u, v in halves(n + 1)]
     return WordSet.from_packed(f, _product_windows(pieces, f), canonical=True)
@@ -104,7 +99,7 @@ def factor_set_Fn(n: int, item_cap: int = DEFAULT_ITEM_CAP) -> WordSet:
     module docstring describes (A_{n+1} is never materialized).  Their sizes,
     read off the cut counts of A_n and A_{n-1}, must project at most
     `item_cap` candidates before a window is cut.  For n <= 3 F_n is read off
-    the generation-7 factors, as factor stability does not apply.  A generation
+    F_4, every shorter factor lying inside a 3-symbol one.  A generation
     beyond MAX_GENERATION is rejected before any of its windows is listed.
     """
     if n < 1:

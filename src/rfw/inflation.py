@@ -156,27 +156,19 @@ _COIN_BLOCK = 1 << 13
 def _step8() -> np.ndarray:
     """One inflation step of every 8-symbol byte b under every 8 coins c: 128 KB.
 
-    Entry b << 8 | c holds the 8 + popcount(b) output symbols.  Each symbol
-    emits one 1 at its output start s, except a 1 whose coin is set (bit k
-    of c for the k-th 1 of b): it emits 01, its 1 at s + 1, which adds 2^s.
-    So row b is its all-tails word plus a subset sum of its moves, filled in
-    one coin at a time.  Bits of c past popcount(b) are the next byte's
-    coins, unread here.
+    Entry b << 8 | c holds the 8 + popcount(b) output symbols of `inflate_step`'s
+    rule, applied to all (b, c) at once: from its output start s, a 0 emits 1
+    and the k-th 1 of b emits 01 if bit k of c is set, else 10.  Bits of c
+    past popcount(b) are the next byte's coins, unread here.
     """
-    tails, moves = [], []
-    for b in range(256):
-        s, word, up = 0, 0, []
-        for i in range(8):
-            word |= 1 << s
-            if b >> i & 1:
-                up.append(1 << s)
-            s += 1 + (b >> i & 1)
-        tails.append(word)
-        moves.append(up + [0] * (8 - len(up)))
-    table = np.empty((256, 256), dtype=np.uint16)
-    table[:, 0] = tails
-    for k, move in enumerate(np.array(moves, dtype=np.uint16).T):
-        np.add(table[:, :1 << k], move[:, None], out=table[:, 1 << k:2 << k])
+    b, c = np.arange(256, dtype=np.uint16)[:, None], np.arange(256, dtype=np.uint16)
+    table = np.zeros((256, 256), dtype=np.uint16)
+    s, k = np.zeros_like(b), np.zeros_like(b)
+    for i in range(8):
+        one = b >> i & 1
+        table |= 1 << s + (one & c >> k)
+        s += 1 + one
+        k += one
     return table.ravel()
 
 

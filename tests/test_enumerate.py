@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from rfw import (BudgetError, CapacityError, Word, WordSet, count_A_explicit,
+from rfw import (BudgetError, CapacityError, Word, WordSet, cli, count_A_explicit,
                  enumerate_A, inflation, verify_overlap, verify_palindromic)
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "rfw"
@@ -166,6 +166,35 @@ def test_palindromic_witness_is_the_first_word_whose_reverse_is_missing(monkeypa
 @pytest.mark.parametrize("n", range(4, 9))
 def test_overlap_identity(n):
     assert verify_overlap(n).ok
+
+
+@pytest.fixture
+def A5_first_product_without_01(monkeypatch):
+    """halves(5) with 01 dropped from the A_3 of A_4A_3: that product loses two words."""
+    real = inflation.halves
+    short = WordSet(2, [Word.parse("10")])
+
+    def halves(n):
+        (big, small), second = real(n)
+        return (big, short if n == 5 else small), second
+    monkeypatch.setattr(inflation, "halves", halves)
+
+
+def test_overlap_witness_is_the_first_word_lost_from_the_intersection(A5_first_product_without_01):
+    # A_4A_3 loses 101.01 and 011.01, both in A_3A_4 and in A_3A_2A_3; the
+    # canonical order puts 10101 (packed 21) before 01101 (packed 22).
+    res = verify_overlap(5)
+    assert not res.ok
+    assert res.witness == "overlap mismatch at n = 5, e.g. 10101"
+
+
+def test_verify_prints_the_overlap_mismatch_and_exits_1(A5_first_product_without_01, capsys):
+    code = cli.main(["verify", "--max-n", "4", "--prop", "overlap"])
+    assert code == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "PASS  overlap                n=4",
+        "FAIL  overlap                n=5  [overlap mismatch at n = 5, e.g. 10101]",
+        "1/2 checks passed"]
 
 
 def test_recursion_identity_directly():

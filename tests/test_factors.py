@@ -67,7 +67,7 @@ def test_Fn_small_values():
 
 
 def test_small_n_convention_is_stable():
-    # the generation-7 definition of F_n for n <= 3 agrees with generation 8
+    # F_n for n <= 3, read off F_4, agrees with generation 8
     for n in (1, 2, 3):
         assert factor_set_Fn(n) == factor_set(enumerate_A(8), fib(n))
 
@@ -161,6 +161,12 @@ def test_c_values_match_table():
                 7: "2.11111", 8: "2.17143"}
     for n, text in expected.items():
         assert format_c(c_stat(n)) == text
+
+
+def test_format_c_rounds_a_tie_up():
+    # 24689 / 200000 = 0.123445 exactly, halfway between 0.12344 and 0.12345;
+    # half-even would give 0.12344.
+    assert format_c(Fraction(24689, 200000)) == "0.12345"
 
 
 def test_c3_exact():
@@ -268,6 +274,27 @@ def test_factor_stability_fails_below_four():
     assert res.witness == "F(A_4,f_3) != F(A_5,f_3), e.g. 00"
 
 
+@pytest.fixture
+def F_A5_f4_without_100(monkeypatch):
+    """F(A_5, f_4) scanned without its smallest word, 100 (packed 1)."""
+    real = factors._next_factors
+    short = WordSet.from_packed(fib(4), real(4).packed[1:])
+    monkeypatch.setattr(factors, "_next_factors", lambda n: short if n == 4 else real(n))
+
+
+def test_factor_stability_witness_is_the_dropped_word(F_A5_f4_without_100):
+    assert verify_factor_stability(4, 2) == VerifyResult(
+        False, "F(A_5,f_4) != F(A_6,f_4), e.g. 100")
+
+
+def test_verify_prints_the_unstable_factor_and_exits_1(F_A5_f4_without_100, capsys):
+    code = cli.main(["verify", "--max-n", "5", "--prop", "factor-stability"])
+    assert code == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "FAIL  factor-stability       n=4,k=2  [F(A_5,f_4) != F(A_6,f_4), e.g. 100]",
+        "0/1 checks passed"]
+
+
 def test_verify_scans_each_generation_once(monkeypatch, capsys):
     # F(A_{n+k}, f_n) is read off F(A_{n+k}, f_{n+k-1}), so each A_m's windows
     # are scanned once per process, and the table's F(A_9, f_8) is one of them.
@@ -348,3 +375,26 @@ def test_Fn_bound(n):
 
 def test_Fn_bound_arithmetic_n7():
     assert 1356 <= 2 * (4**5 * 8 + 1) * 288
+
+
+def Fn_of_size(monkeypatch, size):
+    monkeypatch.setattr(factors, "factor_set_Fn",
+                        lambda n, item_cap: WordSet.from_packed(8, range(size)))
+
+
+@pytest.mark.parametrize("n, bound", [(3, 20), (4, 198)])
+def test_Fn_bound_admits_the_bound_and_names_one_word_more(monkeypatch, n, bound):
+    # 2 (4^{n-2} f_{n-1} + 1) |A_n| is 2 * 5 * 2 at n = 3 and 2 * 33 * 3 at n = 4.
+    Fn_of_size(monkeypatch, bound)
+    assert verify_Fn_bound(n).ok
+    Fn_of_size(monkeypatch, bound + 1)
+    assert verify_Fn_bound(n) == VerifyResult(False, f"|F_{n}| = {bound + 1} > {bound}")
+
+
+def test_verify_prints_the_broken_Fn_bound_and_exits_1(monkeypatch, capsys):
+    Fn_of_size(monkeypatch, 21)
+    code = cli.main(["verify", "--max-n", "3", "--prop", "factor-bound"])
+    assert code == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "FAIL  factor-bound           n=3  [|F_3| = 21 > 20]",
+        "0/1 checks passed"]
