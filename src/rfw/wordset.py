@@ -3,11 +3,12 @@
 A WordSet holds its members as a sorted, deduplicated numpy uint64 array,
 in ascending packed value, a total and deterministic order, so two runs
 produce byte-identical exports.  Bulk operations (products, slices, unions)
-work directly on the packed arrays.  Words of at most `_TABLE_BITS` symbols,
-with at least one input byte per value they could take (`_table_pays`), are
-deduplicated in `_table`, a direct-address table that reads off in ascending
-order, as are F_n's windows, a table per aligned bucket (`_product_windows`);
-all others are sorted by `_dedup`.  Neither path hashes.
+work directly on the packed arrays.  Sets are sorted: `_distinct`, a sort and
+a neighbour compare, builds every set.  Windows are marked: `_table`, a
+direct-address table that reads off in ascending order, takes F_n's windows
+a table per aligned bucket (`_product_windows`), and the windows of words,
+where they hold at least one byte per value they could take (`_window_set`).
+Neither path hashes.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ _FEW_RUNS = 4
 # Words rendered per block by `write_text`; a block unpacks to 64 bytes a word.
 _TEXT_BLOCK = 1 << 16
 
-# Threads `_on_workers` runs on: one per usable core, at most two, as `_dedup` sorts halves.
+# Threads `_on_workers` runs on: one per usable core, at most two, as `_distinct` sorts halves.
 _WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
 
@@ -71,32 +72,30 @@ def _on_workers(fn: Callable[[int, int], None], n: int) -> None:
             raise exc
 
 
-def _dedup(owned: np.ndarray, kind: str = "quicksort") -> np.ndarray:
-    """Sort `owned` in place, then keep each entry that differs from its left neighbour.
+def _distinct(owned: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of `owned`, a uint64 array it may sort in place.
 
-    The sort path of `_distinct`, its only caller.  It never hashes: numpy
+    The one deduplication kernel behind every WordSet: a sort, then each
+    entry that differs from its left neighbour.  It never hashes: numpy
     >= 2.3 gives `np.unique` a hash table that is 35-90x slower than sorting
-    on packed words.  `kind="stable"` suits input made of a few sorted runs,
-    which it merges in linear time.  On two workers a quicksort of at least
-    2 `_BLOCK` words partitions at the middle, then sorts each half on its own.
+    on packed words.  At most `_FEW_RUNS` sorted runs, such as a union's two
+    sets or the product and the new words that make A_n in one buffer, are
+    merged in linear time by a stable sort; more are quicksorted, and on two
+    workers from 2 `_BLOCK` words partitioned at the middle, each half then
+    sorted on its own.
     """
-    if kind == "quicksort" and _WORKERS > 1 and len(owned) >= 2 * _BLOCK:
+    few = np.count_nonzero(owned[1:] <= owned[:-1]) < _FEW_RUNS  # k rising runs fall k - 1 times
+    if not few and _WORKERS > 1 and len(owned) >= 2 * _BLOCK:
         owned.partition(len(owned) // 2)  # where `_on_workers` cuts its two slices
         _on_workers(lambda lo, hi: owned[lo:hi].sort(), len(owned))
     else:
-        owned.sort(kind=kind)
+        owned.sort(kind="stable" if few else "quicksort")
     keep = np.empty(len(owned), dtype=bool)
     keep[:1] = True
     np.not_equal(owned[1:], owned[:-1], out=keep[1:])
     out = owned if keep.all() else owned[keep]
     out.flags.writeable = False
     return out
-
-
-def _table_pays(width: int, nbytes: int) -> bool:
-    """The byte rule: `nbytes` of values below 2^width go to `_table`, as clearing
-    and scanning its 2^width flags costs more than sorting fewer bytes."""
-    return width <= _TABLE_BITS and nbytes >= 1 << width
 
 
 def _table(width: int, n: int, arrays: Callable[[int, int], Iterable[np.ndarray]]) -> np.ndarray:
@@ -118,22 +117,6 @@ def _table(width: int, n: int, arrays: Callable[[int, int], Iterable[np.ndarray]
     out = np.flatnonzero(seen).view(np.uint64)
     out.flags.writeable = False
     return out
-
-
-def _distinct(words: np.ndarray, width: int) -> np.ndarray:
-    """Sorted distinct values of `words`, a uint64 array whose entries are all below 2^width.
-
-    The one deduplication kernel behind every WordSet; it owns `words` and
-    may sort them in place.  Words that pay for a table (`_table_pays`) are
-    marked by `_table` on the calling thread.  Otherwise `_dedup` sorts them:
-    stable, in linear time, where they are at most `_FEW_RUNS` sorted runs,
-    such as a union's two sets or the product and the new words that make
-    A_n in one buffer, and by quicksort where they are more.
-    """
-    if _table_pays(width, words.nbytes):
-        return _table(width, 1, lambda lo, hi: [words])
-    falls = np.count_nonzero(words[1:] <= words[:-1])  # k rising runs fall k - 1 times
-    return _dedup(words, kind="stable" if falls < _FEW_RUNS else "quicksort")
 
 
 def _product_windows(pieces: list[tuple[np.ndarray, np.ndarray, int]], width: int) -> np.ndarray:
@@ -212,16 +195,19 @@ def slice_packed(packed: np.ndarray, a: int, b: int) -> np.ndarray:
 def _window_set(packed: np.ndarray, starts: range, width: int) -> np.ndarray:
     """Sorted distinct w[a, a+width-1] over every start a and every packed word w.
 
-    Where the windows pay for a table, `_table` splits the words and each
-    worker cuts its own `_BLOCK`-word blocks, every start before the next
-    block, so a block is read from cache.  Otherwise `_distinct` takes one
-    start's windows at a time, and each is merged into those before it.
+    The byte rule: windows of at most `_TABLE_BITS` symbols that hold at
+    least one byte per value they could take go to `_table`, as clearing and
+    scanning its 2^width flags costs more than sorting fewer bytes.  It
+    splits the words and each worker cuts its own `_BLOCK`-word blocks, every
+    start before the next block, so a block is read from cache.  Otherwise
+    `_distinct` takes one start's windows at a time, and each is merged into
+    those before it.
     """
-    if not _table_pays(width, 8 * len(packed) * len(starts)):
+    if width > _TABLE_BITS or 8 * len(packed) * len(starts) < 1 << width:
         out = np.empty(0, dtype=np.uint64)
         for a in starts:
-            windows = _distinct(slice_packed(packed, a, a + width - 1), width)
-            out = _distinct(np.concatenate([out, windows]), width) if len(out) else windows
+            windows = _distinct(slice_packed(packed, a, a + width - 1))
+            out = _distinct(np.concatenate([out, windows])) if len(out) else windows
         return out
     return _table(width, len(packed), lambda lo, hi: (
         slice_packed(packed[b:min(b + _BLOCK, hi)], a, a + width - 1)
@@ -268,7 +254,7 @@ def _both_products(u: "WordSet", v: "WordSet") -> "WordSet":
         u, v = v, u
     d = u.length - v.length
     heads = u._packed & np.uint64((1 << d) - 1)  # every t's first d symbols
-    prefixes = _distinct(heads.copy(), d)
+    prefixes = _distinct(heads.copy())
     firsts = np.bitwise_or.outer(prefixes << np.uint64(v.length), v._packed).ravel()
     tail_in_v = _member(v._packed, u._packed >> np.uint64(d))
     # Row k holds the s that make a new word with a t of head k whose tail is in
@@ -285,7 +271,7 @@ def _both_products(u: "WordSet", v: "WordSet") -> "WordSet":
     np.bitwise_or(np.repeat(u._packed << np.uint64(v.length), per_t),
                   np.broadcast_to(v._packed, is_new.shape)[is_new], out=out[size:])
     length = u.length + v.length
-    return WordSet.from_packed(length, _distinct(out, length), canonical=True)
+    return WordSet.from_packed(length, _distinct(out), canonical=True)
 
 
 def pack_rows(bits: np.ndarray) -> np.ndarray:
@@ -321,7 +307,7 @@ class WordSet:
                 raise ValueError(f"word of length {w.length} in set of length {length}")
             packed.append(w.bits)
         self.length = length
-        self._packed = _distinct(np.array(packed, dtype=np.uint64), length)
+        self._packed = _distinct(np.array(packed, dtype=np.uint64))
 
     @classmethod
     def from_packed(cls, length: int, packed: np.ndarray, *, canonical: bool = False) -> "WordSet":
@@ -340,7 +326,7 @@ class WordSet:
         else:
             arr = np.array(packed, dtype=np.uint64)
             _check_fits(arr, length)
-            self._packed = _distinct(arr, length)
+            self._packed = _distinct(arr)
         return self
 
     @property
@@ -369,7 +355,7 @@ class WordSet:
         if self.length != other.length:
             raise ValueError("union of sets with different word lengths")
         both = np.concatenate([self._packed, other._packed])
-        return WordSet.from_packed(self.length, _distinct(both, self.length), canonical=True)
+        return WordSet.from_packed(self.length, _distinct(both), canonical=True)
 
     def intersection(self, other: "WordSet") -> "WordSet":
         if self.length != other.length:
@@ -406,7 +392,7 @@ class WordSet:
 
     def reverse(self) -> "WordSet":
         rev = reverse_packed(self._packed, self.length)
-        return WordSet.from_packed(self.length, _distinct(rev, self.length), canonical=True)
+        return WordSet.from_packed(self.length, _distinct(rev), canonical=True)
 
     # --- serialization ------------------------------------------------
 

@@ -6,7 +6,7 @@ stderr and, for `-o` runs, the sha256 of the file written.  `{tmp}` in an
 argv is a fresh directory.  A change that is meant to leave every output as
 it was must pass this table unchanged; `-h` is left out, since argparse's
 layout differs between Python versions.  The rows marked heavy (F_9, about
-18 s and 0.9 GB) run only with RFW_HEAVY=1.
+6 s and 0.74 GB on a 2-core VM) run only with RFW_HEAVY=1.
 """
 
 import hashlib

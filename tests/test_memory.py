@@ -46,9 +46,9 @@ def test_building_A9_holds_one_buffer_and_the_new_words(a9):
 
 
 def test_building_A9_sorts_no_chunk_longer_than_A9(a9, monkeypatch):
-    sorted_sizes, dedup = [], wordset._dedup
-    monkeypatch.setattr(wordset, "_dedup", lambda owned, kind="quicksort":
-                        sorted_sizes.append(len(owned)) or dedup(owned, kind))
+    sorted_sizes, distinct = [], wordset._distinct
+    monkeypatch.setattr(wordset, "_distinct", lambda owned:
+                        sorted_sizes.append(len(owned)) or distinct(owned))
     assert inflation._enumerate.__wrapped__(9) == a9
     assert sorted_sizes and max(sorted_sizes) <= len(a9)
 

@@ -1,4 +1,7 @@
 import math
+from collections import Counter
+from fractions import Fraction
+from functools import cache
 from itertools import chain
 
 import numpy as np
@@ -237,12 +240,17 @@ def bits(value, k):
     return [value >> j & 1 == 1 for j in range(k)]
 
 
+def every_coin_sequence(k):
+    """The 2^k sequences of k coins, one after the other."""
+    return list(chain.from_iterable(bits(s, k) for s in range(1 << k)))
+
+
 @pytest.mark.parametrize("n", range(1, 8))
 def test_every_coin_sequence_gives_the_same_word_by_both_samplers(n):
     # All 2^(f_n - 1) coin sequences of a chain, 4096 at n = 7: their words
     # are A_n, and the block sampler and the per-symbol rule agree on each.
     k = fib(n) - 1
-    script = list(chain.from_iterable(bits(s, k) for s in range(1 << k)))
+    script = every_coin_sequence(k)
     batch, single = ScriptedCoins(script), ScriptedCoins(script)
     packed = sample_packed(n, 0.5, batch, 1 << k)
     words = [sample_chain(n, 0.5, single).bits for _ in range(1 << k)]
@@ -267,3 +275,48 @@ def test_step_table_is_inflate_step_on_every_byte_and_its_coins():
     b, c = np.divmod(np.arange(1 << 16), 256)
     read = (1 << np.bitwise_count(b).astype(np.int64)) - 1
     assert (table == table[b << 8 | c & read]).all()
+
+
+# --- the sampler's law ----------------------------------------------------
+
+
+@cache
+def law(n, p):
+    """P_n(w), the chance that a chain gives w, by the first coin's split.
+
+    The first coin turns r_2 = 1 into 01 with chance p, into 10 with 1 - p;
+    its 0 then grows into r_{n-2} and its 1 into r_{n-1}, on coins of their
+    own.  So P_n is p P_{n-2} x P_{n-1} over w = xy plus (1 - p) P_{n-1} x
+    P_{n-2} over w = yx.  At p = Fraction(1, 2), 2^(f_n - 1) P_n(w) is N_n(w),
+    the number of coin sequences that give w.
+    """
+    if n <= 2:
+        return {n - 1: 1}
+    out = Counter()
+    for x, px in law(n - 2, p).items():
+        for y, py in law(n - 1, p).items():
+            out[x | y << fib(n - 2)] += p * px * py
+            out[y | x << fib(n - 1)] += (1 - p) * px * py
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_every_word_takes_as_many_coin_sequences_as_the_law_gives(n):
+    k = fib(n) - 1
+    words = Counter(sample_packed(n, 0.5, ScriptedCoins(every_coin_sequence(k)), 1 << k).tolist())
+    assert words == {w: c * 2**k for w, c in law(n, Fraction(1, 2)).items()}
+    assert set(words) == set(enumerate_A(n).packed.tolist())
+
+
+@pytest.mark.parametrize("p", [0.3, 0.5])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_samples_follow_the_law(seed, p):
+    # Pearson's chi^2 over the 30 words of A_6, 29 degrees of freedom: 74 is
+    # its 1e-5 tail by Wilson-Hilferty.  Seeds 1-3 read 19.7-33.7; a sampler
+    # with p and 1 - p swapped reads about 39,000 at p = 0.3 (at p = 0.5 the
+    # law is its own reversal, so a swap cannot show).
+    count, expected = 100_000, law(6, p)
+    seen = Counter(sample_packed(6, p, PrngHandle(seed), count).tolist())
+    assert set(seen) <= set(expected)
+    chi2 = sum((seen[w] - count * q) ** 2 / (count * q) for w, q in expected.items())
+    assert len(expected) == 30 and chi2 < 74

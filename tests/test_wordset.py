@@ -204,7 +204,7 @@ def test_from_packed_accepts_full_width_words():
     assert members(WordSet.from_packed(64, top)) == [0, (1 << 64) - 1]
 
 
-# --- the table and sort paths of _distinct ------------------------------
+# --- _distinct sorts; the windows of words are marked in a table ---------
 
 
 def table_calls(fn, *args):
@@ -223,10 +223,10 @@ def with_path(fn, *args):
     return out, "table" if widths else "sort"
 
 
-def distinct_with_path(words, width):
-    out, path = with_path(wordset._distinct, words, width)
+def distinct(words):
+    out = wordset._distinct(words)
     assert out.dtype == np.uint64 and not out.flags.writeable
-    return [int(x) for x in out], path
+    return [int(x) for x in out]
 
 
 def expected_path(items, width):
@@ -254,36 +254,53 @@ def random_chunks(rng, width, items, parts, runs=0):
 @given(st.integers(1, 30), st.integers(-3, 3), st.integers(1, 5), st.integers(0, 2**32 - 1),
        st.one_of(st.just(0), st.integers(1, 40)))
 def test_distinct_matches_set_oracle(width, offset, parts, seed, runs):
-    # Item counts straddle the table threshold 2^width / 8 while that stays
-    # small; above 2^17 values the counts are kept small (sort path).  With
-    # `runs`, the words are parts x runs sorted runs, so the sort path merges
-    # the few-run ones by a stable sort and quicksorts the rest.
+    # Item counts run from a few to many per value while 2^width / 8 stays
+    # small; above 2^17 values the counts are kept small.  With `runs`, the
+    # words are parts x runs sorted runs, so the few-run ones are merged by a
+    # stable sort and the rest quicksorted.
     items = max((1 << width) // 8 + offset, 0) if width <= 17 else 200 + offset
     chunks, oracle = random_chunks(np.random.default_rng(seed), width, items, parts, runs)
-    words = np.concatenate(chunks)  # runs drop the repeats within each run
-    assert distinct_with_path(words, width) == (oracle, expected_path(len(words), width))
+    assert distinct(np.concatenate(chunks)) == oracle  # runs drop the repeats within each run
 
 
 @pytest.mark.parametrize("runs,kinds", [(1, ["stable"]), (2, ["stable"]), (4, ["stable"]),
                                         (5, ["quicksort"]), (40, ["quicksort"])])
-def test_distinct_merges_a_few_runs_by_a_stable_sort(monkeypatch, runs, kinds):
+def test_distinct_merges_a_few_runs_by_a_stable_sort(runs, kinds):
     chunks, oracle = random_chunks(np.random.default_rng(runs), 40, 400, 1, runs)
-    sorts, dedup = [], wordset._dedup
-    monkeypatch.setattr(wordset, "_dedup",
-                        lambda owned, kind="quicksort": sorts.append(kind) or dedup(owned, kind))
-    assert distinct_with_path(chunks[0], 40) == (oracle, "sort")
+    sorts = []
+
+    class Logged(np.ndarray):
+        """An array whose `sort` logs the kind it is asked for."""
+
+        def sort(self, axis=-1, kind=None, order=None):
+            sorts.append(kind)
+            super().sort(axis, kind, order)
+
+    assert distinct(chunks[0].view(Logged)) == oracle
     assert sorts == kinds
 
 
-@pytest.mark.parametrize("items", [(1 << 19) - 1, 1 << 19])
-def test_distinct_at_the_threshold_of_a_wide_table(items):
-    chunks, oracle = random_chunks(np.random.default_rng(items), 22, items, 3)
-    assert distinct_with_path(np.concatenate(chunks), 22) == (oracle, expected_path(items, 22))
+@pytest.mark.parametrize("run", [
+    wordset._distinct, lambda values: WordSet.from_packed(22, values).packed,
+    lambda values: WordSet(22, (Word(x, 22) for x in values.tolist())).packed,
+    lambda values: WordSet.from_packed(22, values[::2]).union(
+        WordSet.from_packed(22, values[1::2])).packed,
+    lambda values: WordSet.from_packed(22, wordset.reverse_packed(values, 22)).reverse().packed],
+    ids=["distinct", "from_packed", "init", "union", "reverse"])
+def test_sets_are_sorted_never_marked(run):
+    # 2^19 distinct values below 2^22 hold one byte per value they could
+    # take, so the byte rule would mark them as windows; as a set they sort.
+    values = np.random.default_rng(22).choice(1 << 22, 1 << 19, replace=False).astype(np.uint64)
+    oracle = sorted(values.tolist())
+    out, widths = table_calls(run, values)
+    assert widths == []
+    assert out.dtype == np.uint64 and out.tolist() == oracle
 
 
 @pytest.mark.parametrize("side", ["table", "few_bytes", "too_wide"])
 def test_every_table_pass_marks_one_table_on_its_side_of_the_rule(monkeypatch, side):
-    # Width 10: a table pays from 2^10 bytes, 128 words, unless the cap is below 10.
+    # Width 10: windows pay for a table from 2^10 bytes, 128 words, unless the
+    # cap is below 10.  Sets are sorted on either side of the rule.
     if side == "too_wide":
         monkeypatch.setattr(wordset, "_TABLE_BITS", 9)
     n = 127 if side == "few_bytes" else 128
@@ -298,7 +315,7 @@ def test_every_table_pass_marks_one_table_on_its_side_of_the_rule(monkeypatch, s
             "slices": WordSet.from_packed(12, distinct_values(12, n)),
             "factor_set": WordSet.from_packed(12, distinct_values(12, (n + 1) // 3))}
     passes = {
-        "distinct_array": lambda: wordset._distinct(ten.copy(), 10),
+        "distinct_array": lambda: wordset._distinct(ten.copy()),
         "factor_set": lambda: factor_set(sets["factor_set"], 10),  # 3 windows a word
         "slices": lambda: sets["slices"].slices(2, 11),
         "union": lambda: sets["even"].union(sets["odd"]),
@@ -306,12 +323,12 @@ def test_every_table_pass_marks_one_table_on_its_side_of_the_rule(monkeypatch, s
     }
     for name, run in passes.items():
         _, widths = table_calls(run)
-        assert widths == ([10] if side == "table" else []), name
+        marks = side == "table" and name in {"factor_set", "slices"}
+        assert widths == ([10] if marks else []), name
 
 
 def test_distinct_empty_input():
-    assert distinct_with_path(np.empty(0, dtype=np.uint64), 5) == ([], "sort")
-    assert distinct_with_path(np.empty(0, dtype=np.uint64), 40) == ([], "sort")
+    assert distinct(np.empty(0, dtype=np.uint64)) == []
 
 
 @pytest.mark.parametrize("ell", [16, 24, 25, 33])
@@ -334,21 +351,21 @@ def test_table_windows_of_A_match_the_sort(n, ell):
     windows = np.concatenate([wordset.slice_packed(a.packed, k, k + ell - 1)
                               for k in range(1, a.length - ell + 2)])
     assert expected_path(len(windows), ell) == "table"
-    by_sort = wordset._dedup(windows.copy())
-    got, path = distinct_with_path(windows, ell)
+    got, path = with_path(factor_set, a, ell)
     assert path == "table"
-    assert np.array_equal(np.array(got, dtype=np.uint64), by_sort)
+    assert np.array_equal(got.packed, wordset._distinct(windows))
 
 
 @pytest.mark.parametrize("width,items,path", [(8, 10, "sort"), (8, 20, "table"),
                                               (16, 5000, "table"), (30, 500, "sort")])
 def test_union_on_either_path_of_distinct(width, items, path):
+    # `path` is the side of the byte rule the words fall on; a union sorts on either.
     rng = np.random.default_rng(width * items)
     a, b = (WordSet.from_packed(width, rng.integers(0, 1 << width, items, dtype=np.uint64))
             for _ in range(2))
     before = a.packed.copy(), b.packed.copy()
-    got, took = with_path(a.union, b)
-    assert took == path == expected_path(len(a) + len(b), width)
+    got, widths = table_calls(a.union, b)
+    assert path == expected_path(len(a) + len(b), width) and widths == []
     assert members(got) == sorted(set(before[0].tolist()) | set(before[1].tolist()))
     assert np.array_equal(a.packed, before[0]) and np.array_equal(b.packed, before[1])
 
@@ -500,14 +517,14 @@ def test_two_workers_give_what_one_gives(shape, count, block, seed):
         reversed_by_string(words, length)
     assert on_each_worker_count(lambda: ws.reverse().packed, block) == \
         sorted(set(reversed_by_string(words, length)))
-    # _distinct on both sides of the byte rule, and _dedup on values that repeat.
+    # _distinct on few and many sorted runs, and on values that repeat.
     small = min(width, 20)
     items = max((1 << small) // 8 + count - 200, 0)
     chunks, oracle = random_chunks(rng, small, items, 1 + seed % 4, runs=seed % 3 * 20)
-    assert on_each_worker_count(lambda: wordset._distinct(np.concatenate(chunks), small),
+    assert on_each_worker_count(lambda: wordset._distinct(np.concatenate(chunks)),
                                 block) == oracle
     repeats = rng.permutation(np.repeat(words, rng.integers(1, 4, count)))
-    assert on_each_worker_count(lambda: wordset._dedup(repeats.copy()), block) == \
+    assert on_each_worker_count(lambda: wordset._distinct(repeats.copy()), block) == \
         sorted(set(words.tolist()))
 
 
@@ -525,7 +542,7 @@ ws_40 = WordSet.from_packed(40, np.random.default_rng(40).integers(0, 1 << 40, 6
 
 @pytest.mark.parametrize("run", [
     lambda: factor_set(ws_40, 6), lambda: ws_40.slices(3, 8), lambda: factor_set(ws_40, 30),
-    ws_40.reverse, lambda: wordset._dedup(ws_40.packed[::-1].copy())],
+    ws_40.reverse, lambda: wordset._distinct(ws_40.packed[::-1].copy())],
     ids=["factor_set_table", "slices_table", "factor_set_sort", "reverse", "dedup"])
 def test_two_workers_reach_every_split_pass(monkeypatch, thread_starts, run):
     monkeypatch.setattr(wordset, "_WORKERS", 2)
@@ -566,14 +583,6 @@ def test_many_workers_take_every_chunk_once():
     finally:
         sys.setswitchinterval(interval)
     assert windows.packed.tolist() == oracle
-
-
-def test_distinct_marks_a_wide_table_on_the_calling_thread(monkeypatch, thread_starts):
-    monkeypatch.setattr(wordset, "_WORKERS", 2)
-    monkeypatch.setattr(wordset, "_BLOCK", 1)
-    values = np.random.default_rng(20).integers(0, 1 << 20, 1 << 17, dtype=np.uint64)
-    assert distinct_with_path(values.copy(), 20) == (sorted(set(values.tolist())), "table")
-    assert thread_starts == []
 
 
 @pytest.mark.parametrize("failing", [1, 0])
@@ -771,15 +780,21 @@ def calls_outside(source, names, owner=None):
                   and id(node) not in inside)
 
 
+# Sets are deduplicated one way: `_distinct` is the only code that sorts.
+SORTS = {"sort", "argsort", "partition", "argpartition", "lexsort"}
+
+
 def dedup_calls_outside_distinct(source):
-    return calls_outside(source, {"_dedup"}, "_distinct")
+    return calls_outside(source, SORTS, "_distinct")
 
 
 def test_guard_sees_dedup_calls_outside_distinct():
-    source = ("def _distinct(c):\n    return _dedup(c)\n"
-              "def union(a, b):\n    return _dedup(a + b)\n"
-              "x = wordset._dedup(y)\n")
-    assert dedup_calls_outside_distinct(source) == [4, 5]
+    source = ("def _distinct(c):\n    c.partition(2)\n    run(lambda: c[1:].sort())\n"
+              "    return c.sort(kind='stable')\n"
+              "def union(a, b):\n    return np.sort(a + b)\n"
+              "x = y.argsort()\nnp.lexsort(k)\nnp.argpartition(a, 1)\nsorted(a)\n"
+              "def _dedup(c):\n    c.sort()\nc.partition(1)\n")
+    assert dedup_calls_outside_distinct(source) == [6, 7, 8, 9, 12, 13]
 
 
 def test_only_distinct_calls_the_sort():
