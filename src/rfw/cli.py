@@ -53,12 +53,12 @@ def _output(path, mode: str = "w"):
 
     A regular file, or a new one, is written beside itself and then replaced,
     so it changes only once written in full.  A symlink (/dev/stdout among
-    them), /dev/null or a FIFO is written in place.
+    them), /dev/null, a FIFO or "" (which open refuses) is written in place.
     """
     if path is None:
         yield sys.stdout
         return
-    if os.path.islink(path) or os.path.exists(path) and not os.path.isfile(path):
+    if not path or os.path.islink(path) or os.path.exists(path) and not os.path.isfile(path):
         with open(path, mode) as fh:
             yield fh
         return

@@ -24,7 +24,7 @@ import numpy as np
 from .inflation import (MAX_ENUMERATED, BudgetError, VerifyResult, check_capacity,
                         enumerate_A, halves)
 from .words import Word, fib
-from .wordset import WordSet, _member, _product_windows, _suffix_counts, _window_set
+from .wordset import WordSet, _in_product, _product_windows, _suffix_counts, _window_set
 
 DEFAULT_ITEM_CAP = 1 << 26
 
@@ -72,7 +72,7 @@ def factor_set(s: WordSet, ell: int) -> WordSet:
     if not 1 <= ell <= s.length:
         raise IndexError(f"factor length {ell} outside [1, {s.length}]")
     windows = _window_set(s.packed, range(1, s.length - ell + 2), ell)
-    return WordSet.from_packed(ell, windows, canonical=True)
+    return WordSet._of(ell, windows)
 
 
 @lru_cache(maxsize=None)
@@ -88,7 +88,7 @@ def _factor_set_Fn_cached(n: int) -> WordSet:
         return factor_set(_factor_set_Fn_cached(4), f)
     pieces = [(u.slices(k, u.length).packed, v.slices(1, k - 1 + f - u.length).packed,
                u.length - k + 1) for k in range(1, fib(n - 1) + 2) for u, v in halves(n + 1)]
-    return WordSet.from_packed(f, _product_windows(pieces, f), canonical=True)
+    return WordSet._of(f, _product_windows(pieces, f))
 
 
 def factor_set_Fn(n: int, item_cap: int = DEFAULT_ITEM_CAP) -> WordSet:
@@ -170,15 +170,8 @@ def verify_prefix_stability(n: int, k: int) -> VerifyResult:
     return VerifyResult(True)
 
 
-def _superset_rhs(n: int) -> WordSet:
-    """(A_{n-1}[1, f_{n-1}-1]) {0,1}^2 (A_{n-2}[2, f_{n-2}])."""
-    free = WordSet(2, [Word.parse(s) for s in ("00", "01", "10", "11")])
-    (big, small), _ = halves(n)
-    return big.slices(1, big.length - 1).product(free).product(small.slices(2, small.length))
-
-
 def verify_superset(n: int, *, reversed_form: bool = False) -> VerifyResult:
-    """A_n is contained in the prefix/free-block/suffix product set.
+    """A_n lies in the product set (A_{n-1}[1, f_{n-1}-1]) {0,1}^2 (A_{n-2}[2, f_{n-2}]).
 
     The reversed form checks the mirror statement obtained by reversing
     both sides (valid since every A_m is reversal-closed).
@@ -188,7 +181,9 @@ def verify_superset(n: int, *, reversed_form: bool = False) -> VerifyResult:
     a_n = enumerate_A(n)
     if reversed_form:
         a_n = a_n.reverse()
-    inside = _member(_superset_rhs(n).packed, a_n.packed)
+    (big, small), _ = halves(n)
+    head, tail = big.slices(1, big.length - 1), small.slices(2, small.length)
+    inside = _in_product(a_n.packed, head, tail, gap=2)
     if inside.all():
         return VerifyResult(True)
     w = Word(int(a_n.packed[int(np.argmin(inside))]), a_n.length)

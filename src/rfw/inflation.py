@@ -29,7 +29,7 @@ from functools import cache, lru_cache, partial
 import numpy as np
 
 from .words import CapacityError, Word, fibs
-from .wordset import WordSet, _both_products, _member, reverse_packed, slice_packed
+from .wordset import WordSet, _both_products, _in_product, _member, reverse_packed
 
 DEFAULT_BUDGET = 10**8
 
@@ -271,10 +271,8 @@ def membership(n: int) -> Callable[[np.ndarray], np.ndarray]:
     check_chain(n)
     if n <= MAX_ENUMERATED:
         return partial(_member, enumerate_A(n).packed)
-    orders = [(u.length, u.packed, v.packed) for u, v in halves(n)]
-    return lambda words: np.logical_or.reduce(
-        [_member(first, slice_packed(words, 1, cut)) & _member(second, words >> np.uint64(cut))
-         for cut, first, second in orders])
+    both = halves(n)
+    return lambda words: np.logical_or.reduce([_in_product(words, u, v) for u, v in both])
 
 
 # --- counting ---------------------------------------------------------
@@ -502,8 +500,9 @@ def verify_overlap(n: int) -> VerifyResult:
     """
     if n < 4:
         raise ValueError(f"overlap identity needs n >= 4, got {n}")
-    first, second = (u.product(v) for u, v in halves(n))
-    lhs = first.intersection(second)
+    (u, v), second = halves(n)
+    first = u.product(v)  # the intersection is its words that also split as the second pair
+    lhs = WordSet._of(first.length, first.packed[_in_product(first.packed, *second)])
     (a2, a3), _ = halves(n - 1)
     rhs = a2.product(a3).product(a2)
     if lhs == rhs:

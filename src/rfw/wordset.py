@@ -156,6 +156,12 @@ def _member(canonical: np.ndarray, words: np.ndarray) -> np.ndarray:
     return canonical[np.minimum(np.searchsorted(canonical, words), len(canonical) - 1)] == words
 
 
+def _in_product(words: np.ndarray, u: "WordSet", v: "WordSet", gap: int = 0) -> np.ndarray:
+    """Which packed `words` lie in u {0,1}^gap v: first |u| symbols in u and last |v| in v."""
+    return _member(u._packed, slice_packed(words, 1, u.length)) & _member(
+        v._packed, words >> np.uint64(u.length + gap))
+
+
 def _suffix_counts(canonical: np.ndarray, length: int) -> np.ndarray:
     """Distinct length-j suffixes of `canonical`'s `length`-symbol words, j = 0..length.
 
@@ -271,7 +277,7 @@ def _both_products(u: "WordSet", v: "WordSet") -> "WordSet":
     np.bitwise_or(np.repeat(u._packed << np.uint64(v.length), per_t),
                   np.broadcast_to(v._packed, is_new.shape)[is_new], out=out[size:])
     length = u.length + v.length
-    return WordSet.from_packed(length, _distinct(out), canonical=True)
+    return WordSet._of(length, _distinct(out))
 
 
 def pack_rows(bits: np.ndarray) -> np.ndarray:
@@ -310,23 +316,20 @@ class WordSet:
         self._packed = _distinct(np.array(packed, dtype=np.uint64))
 
     @classmethod
-    def from_packed(cls, length: int, packed: np.ndarray, *, canonical: bool = False) -> "WordSet":
-        """A set of `length`-symbol words from their packed values.
+    def from_packed(cls, length: int, packed: np.ndarray) -> "WordSet":
+        """The set of `length`-symbol words with these packed values: checked, deduplicated."""
+        _check_length(length)
+        arr = np.array(packed, dtype=np.uint64)
+        _check_fits(arr, length)
+        return cls._of(length, _distinct(arr))
 
-        `canonical=True` trusts `packed` to be strictly increasing words that
-        fit `length`; otherwise they are checked to fit, then deduplicated.
-        """
+    @classmethod
+    def _of(cls, length: int, canonical: np.ndarray) -> "WordSet":
+        """The one unchecked way in, bar `length`: `canonical` holds a kernel's sorted words."""
         _check_length(length)
         self = cls.__new__(cls)
-        self.length = length
-        if canonical:
-            arr = np.asarray(packed, dtype=np.uint64)
-            arr.flags.writeable = False
-            self._packed = arr
-        else:
-            arr = np.array(packed, dtype=np.uint64)
-            _check_fits(arr, length)
-            self._packed = _distinct(arr)
+        self.length, self._packed = length, canonical
+        canonical.flags.writeable = False
         return self
 
     @property
@@ -355,13 +358,12 @@ class WordSet:
         if self.length != other.length:
             raise ValueError("union of sets with different word lengths")
         both = np.concatenate([self._packed, other._packed])
-        return WordSet.from_packed(self.length, _distinct(both), canonical=True)
+        return WordSet._of(self.length, _distinct(both))
 
     def intersection(self, other: "WordSet") -> "WordSet":
         if self.length != other.length:
             raise ValueError("intersection of sets with different word lengths")
-        return WordSet.from_packed(self.length, self._packed[_member(other._packed, self._packed)],
-                                   canonical=True)
+        return WordSet._of(self.length, self._packed[_member(other._packed, self._packed)])
 
     def issubset(self, other: "WordSet") -> bool:
         if self.length != other.length:
@@ -380,19 +382,18 @@ class WordSet:
             raise CapacityError(
                 f"product words of {self.length} + {other.length} symbols exceed capacity")
         out = np.bitwise_or.outer(other._packed << np.uint64(self.length), self._packed)
-        return WordSet.from_packed(length, out.ravel(), canonical=True)
+        return WordSet._of(length, out.ravel())
 
     def slices(self, a: int, b: int) -> "WordSet":
         """Distinct sub-words w[a,b] over all members; w[a, a-1] is the empty word."""
         if not (1 <= a <= b + 1 <= self.length + 1):
             raise IndexError(f"slice [{a}, {b}] outside word length {self.length}")
         width = b - a + 1
-        return WordSet.from_packed(width, _window_set(self._packed, range(a, a + 1), width),
-                                   canonical=True)
+        return WordSet._of(width, _window_set(self._packed, range(a, a + 1), width))
 
     def reverse(self) -> "WordSet":
         rev = reverse_packed(self._packed, self.length)
-        return WordSet.from_packed(self.length, _distinct(rev), canonical=True)
+        return WordSet._of(self.length, _distinct(rev))
 
     # --- serialization ------------------------------------------------
 
@@ -464,4 +465,4 @@ class WordSet:
         _check_fits(packed, length)
         if (packed[1:] <= packed[:-1]).any():
             raise ValueError("words are not in strictly increasing order")
-        return cls.from_packed(length, packed, canonical=True)
+        return cls._of(length, packed)

@@ -503,6 +503,15 @@ def test_output_into_a_missing_directory_names_the_target(tmp_path, capsys):
     assert (code, err) == (2, f"export: [Errno 2] No such file or directory: '{target}'\n")
 
 
+@pytest.mark.parametrize("argv", [("table", "--max-n", "3"), ("export", "-n", "3", "--binary")])
+def test_output_to_the_empty_path_exits_2_having_written_nothing(tmp_path, capsys, monkeypatch,
+                                                                 argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv, "-o", "")
+    assert (code, out, err) == (2, "", f"{argv[0]}: [Errno 2] No such file or directory: ''\n")
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("argv", [("export", "-n", "6"), ("export", "-n", "6", "--binary"),
                                   ("table", "--max-n", "4")])
 def test_output_to_dev_null_exits_0(capsys, argv):

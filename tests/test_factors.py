@@ -7,7 +7,7 @@ import pytest
 from rfw import cli, wordset
 from rfw import (DEFAULT_ITEM_CAP, ItemCapError, Word, WordSet, c_stat, enumerate_A,
                  factor_set, factor_set_Fn, fa_next_count, factors, fib, format_c,
-                 verify_factor_stability, verify_Fn_bound,
+                 verify_factor_stability, verify_Fn_bound, verify_overlap,
                  verify_prefix_stability, verify_slice_bound, verify_superset)
 from rfw.inflation import VerifyResult, halves
 
@@ -233,7 +233,7 @@ def test_prefix_stability_sees_a_changed_edge(monkeypatch, n, side):
     edge, width = edges[side], fib(n) - 1
     read = (edge.packed & np.uint64((1 << width) - 1) if side == 0
             else edge.packed >> np.uint64(edge.length - width))
-    edges[side] = WordSet.from_packed(edge.length, edge.packed[read != read[0]], canonical=True)
+    edges[side] = WordSet.from_packed(edge.length, edge.packed[read != read[0]])
     monkeypatch.setattr(factors, "_edges", lambda m: tuple(edges) if m == 7 else None)
     res = verify_prefix_stability(n, 7 - n)
     assert not res.ok
@@ -320,15 +320,39 @@ def test_verify_scans_each_generation_once(monkeypatch, capsys):
 
 @pytest.mark.parametrize("reversed_form", [False, True])
 def test_superset_witness_is_the_first_escaping_word(monkeypatch, reversed_form):
-    # 11010 (packed 11) comes before 01011 (packed 26) in canonical order,
-    # though not in string order; A_5 is its own reverse.
-    real = factors._superset_rhs(5)
-    dropped = {Word.parse("01011").bits, Word.parse("11010").bits}
-    kept = [x for x in real.packed.tolist() if x not in dropped]
-    monkeypatch.setattr(factors, "_superset_rhs", lambda n: WordSet.from_packed(real.length, kept))
+    # With 110 gone from the A_4 of halves(5), no word may start 11: 11001 and
+    # 11010 escape, and 11010 (packed 11) comes before 11001 (packed 19) in
+    # canonical order, though not in string order; A_5 is its own reverse.
+    (big, small), second = halves(5)
+    short = WordSet(3, [Word.parse("011"), Word.parse("101")])
+    assert len(big) == 3 and short.issubset(big)
+    monkeypatch.setattr(factors, "halves", lambda n: ((short, small), second))
     res = verify_superset(5, reversed_form=reversed_form)
     assert not res.ok
     assert res.witness == f"11010 in A_5 escapes the superset (reversed={reversed_form})"
+
+
+@pytest.mark.parametrize("check", [lambda: verify_superset(9),
+                                   lambda: verify_superset(9, reversed_form=True),
+                                   lambda: verify_overlap(9)],
+                         ids=["superset", "superset_reversed", "overlap"])
+def test_product_set_checks_hold_at_9(check):
+    assert check().ok
+
+
+# The factor complexity p(l) = |F(F_8, l)| for l = 1..21, F_8's words being 21 symbols.
+P_OF_L = [2, 4, 7, 13, 22, 39, 67, 108, 183, 305, 510, 851, 1356, 2238, 3652, 5988, 9796,
+          15774, 25716, 41882, 65800]
+
+
+def test_factor_complexity_to_21_three_ways():
+    f8 = factor_set_Fn(8)
+    assert f8.length == 21
+    assert wordset._suffix_counts(f8.packed, 21)[1:].tolist() == P_OF_L
+    assert [len(factor_set(f8, ell)) for ell in range(1, 22)] == P_OF_L
+    a9 = enumerate_A(9)
+    assert [len(factor_set(a9, ell)) for ell in (8, 13, 21)] == [P_OF_L[7], P_OF_L[12], P_OF_L[20]]
+    assert all(len(factor_set_Fn(n)) == P_OF_L[fib(n) - 1] for n in range(1, 9))  # p(f_n) = |F_n|
 
 
 @pytest.mark.parametrize("n", [0, -1])

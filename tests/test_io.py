@@ -141,6 +141,13 @@ def test_binary_rejects_overlong_words():
         WordSet.read_binary(_binary_file(65, [1]))
 
 
+@pytest.mark.parametrize("words", [[], [1]])
+@pytest.mark.parametrize("length", [65, 255])
+def test_binary_header_word_length_above_64_is_a_capacity_error(length, words):
+    with pytest.raises(CapacityError, match=f"word length {length} outside"):
+        WordSet.read_binary(_binary_file(length, words))
+
+
 def test_exports_are_byte_identical_across_runs():
     first, second = io.BytesIO(), io.BytesIO()
     enumerate_A(7).write_binary(first)

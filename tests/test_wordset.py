@@ -5,6 +5,7 @@ plain Python sets of ints, bit by bit.
 """
 
 import ast
+import inspect
 import json
 import os
 import subprocess
@@ -20,6 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rfw import Word, WordSet, cli, enumerate_A, factor_set, factors, wordset
+from rfw.inflation import halves
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "rfw"
 
@@ -66,7 +68,18 @@ def window(x, a, b):
 def test_from_packed(case):
     ws, oracle = case
     assert members(ws) == sorted(oracle)
-    assert WordSet.from_packed(ws.length, ws.packed, canonical=True) == ws
+    assert WordSet.from_packed(ws.length, ws.packed) == ws
+    assert WordSet.from_packed(ws.length, np.concatenate([ws.packed[::-1], ws.packed])) == ws
+
+
+def test_from_packed_takes_no_trust_keyword():
+    # Every caller's packed values are checked: unsorted words make a sorted set.
+    assert list(inspect.signature(WordSet.from_packed).parameters) == ["length", "packed"]
+    with pytest.raises(TypeError):
+        WordSet.from_packed(3, [5, 1], canonical=True)
+    ws = WordSet.from_packed(3, [5, 1])
+    assert Word(5, 3) in ws and Word(1, 3) in ws
+    assert ws == WordSet(3, [Word(1, 3), Word(5, 3)])
 
 
 @given(two_sets(), st.data())
@@ -143,6 +156,45 @@ def test_both_products_match_the_union_of_two_products(pair):
     got = wordset._both_products(u, v)
     assert got == u.product(v).union(v.product(u))
     members(got)
+
+
+FREE_BLOCK = WordSet.from_packed(2, np.arange(4, dtype=np.uint64))  # {0,1}^2
+
+
+@lru_cache(maxsize=None)
+def built_product(n, order, gap):
+    """halves(n)[order] (u, v) and the product u {0,1}^gap v, built by `product`."""
+    u, v = halves(n)[order]
+    return u, v, (u.product(FREE_BLOCK) if gap else u).product(v)
+
+
+def with_every_gap(words, cut, gap):
+    """Each word with every `gap`-symbol block put in after its first `cut` symbols."""
+    low, high = words & np.uint64((1 << cut) - 1), words >> np.uint64(cut) << np.uint64(cut + gap)
+    return np.concatenate([low | high | np.uint64(g << cut) for g in range(1 << gap)])
+
+
+@pytest.mark.parametrize("gap", [0, 2])
+@pytest.mark.parametrize("order", [0, 1])
+@pytest.mark.parametrize("n", range(3, 9))
+def test_in_product_matches_member_on_the_built_product_over_A(n, order, gap):
+    u, v, product = built_product(n, order, gap)
+    words = with_every_gap(enumerate_A(n).packed, u.length, gap)
+    got = wordset._in_product(words, u, v, gap)
+    assert np.array_equal(got, wordset._member(product.packed, words))
+    assert 0 < np.count_nonzero(got) < len(words)  # A_n holds words of both kinds
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(3, 8), st.integers(0, 1), st.sampled_from([0, 2]), st.data())
+def test_in_product_matches_member_on_the_built_product_over_drawn_words(n, order, gap, data):
+    u, v, product = built_product(n, order, gap)
+    top, size = (1 << product.length) - 1, len(product)
+    drawn = st.one_of(st.integers(0, top), st.integers(0, size - 1).map(
+        lambda i: int(product.packed[i])))
+    words = np.array(data.draw(st.lists(drawn, max_size=40)), dtype=np.uint64)
+    assert np.array_equal(wordset._in_product(words, u, v, gap),
+                          wordset._member(product.packed, words))
 
 
 @pytest.mark.parametrize("order", ["sorted", "unsorted", "repeated"])

@@ -76,6 +76,13 @@ MUTANTS = [
            "    keep[:1] = True\n", "    keep[:1] = False\n"),
     Mutant("distinct_run_count", "src/rfw/wordset.py",
            "owned[:-1]) < _FEW_RUNS", "owned[:-1]) <= _FEW_RUNS"),
+    Mutant("in_product_drops_its_gap", "src/rfw/wordset.py",
+           "words >> np.uint64(u.length + gap))", "words >> np.uint64(u.length))"),
+    Mutant("unchecked_constructor_skips_the_length", "src/rfw/wordset.py",
+           "        _check_length(length)\n        self = cls.__new__(cls)\n",
+           "        self = cls.__new__(cls)\n"),
+    Mutant("overlap_splits_on_the_first_pair", "src/rfw/inflation.py",
+           "_in_product(first.packed, *second)", "_in_product(first.packed, u, v)"),
     # The sampler.
     Mutant("threshold_floor", "src/rfw/inflation.py",
            "math.ceil(math.ldexp(p, 53))", "math.floor(math.ldexp(p, 53))"),
