@@ -323,7 +323,7 @@ def _split(x: int) -> tuple[int, int]:
 
 
 #: Below this many bits in the smaller factor `_mul` leaves the product to
-#: CPython, whose Karatsuba breaks even with the FFT at about 22k bits.
+#: CPython, whose Karatsuba breaks even with the FFT at about 22-24k bits.
 _MUL_MIN_BITS = 32_000
 #: The longest transform `_mul` takes: 2^25 limbs, two 16 MB factors.
 _MUL_MAX_LEN = 1 << 25
@@ -344,23 +344,42 @@ def _fft_len(n: int) -> int:
     return lens[bisect_left(lens, n)]
 
 
-def _mul(a: int, b: int) -> int:
-    """a * b for ints >= 0, by a float FFT over byte limbs when both are large.
+def _wide(n: int) -> bool:
+    """Whether 12-bit limbs are exact at transform length n: Percival's bound below 1/8."""
+    return n * 4095**2 * 16 * math.log2(n) * 2.0**-53 < 1 / 8
 
-    Bytes are coefficients of polynomials at 256.  The product's, each below
-    N 255^2 for transform length N, are rounded from one irfft of the product
-    of the two rffts.  Percival's bound (Math. Comp. 72, 2003) on the rounding
-    error, N 255^2 (c log2 N) 2^-53 with c = 16 for pocketfft's radix 2/3/5
-    passes (about 12 for radix 2), is 0.097 < 1/8 at N = _MUL_MAX_LEN.  Should
-    a coefficient still land more than 1/4 from an integer, CPython does it.
+
+def _limbs(x: int, wide: bool) -> np.ndarray:
+    """x's little-endian limbs: its bytes, or the two 12-bit halves of every 3 bytes."""
+    size = -(-x.bit_length() // 24) * 3 if wide else (x.bit_length() + 7) // 8
+    b = np.frombuffer(x.to_bytes(size, "little"), np.uint8)
+    if wide:
+        b = b.reshape(-1, 3).astype(np.uint16)
+        b = np.stack([b[:, 0] | (b[:, 1] & 15) << 8, b[:, 1] >> 4 | b[:, 2] << 4], 1).ravel()
+    return b
+
+
+def _mul(a: int, b: int) -> int:
+    """a * b for ints >= 0, by a float FFT over w-bit limbs when both are large.
+
+    Limbs are coefficients of polynomials at 2^w.  The product's, each below
+    N (2^w - 1)^2 for transform length N, are rounded from one irfft of the
+    product of the two rffts.  Percival's bound (Math. Comp. 72, 2003) on the
+    rounding error, N (2^w - 1)^2 (c log2 N) 2^-53 with c = 16 for pocketfft's
+    radix 2/3/5 passes (about 12 for radix 2), sets w = 12 where the N of
+    12-bit limbs keeps it below 1/8 (`_wide`, N <= 234,375), else w = 8 (0.097
+    at N = _MUL_MAX_LEN).  Should a coefficient still land more than 1/4 from
+    an integer, CPython does it.
     """
     la, lb = (a.bit_length() + 7) // 8, (b.bit_length() + 7) // 8
     if min(la, lb) < _MUL_MIN_BITS // 8 or la + lb - 1 > _MUL_MAX_LEN:
         return a * b
-    n = _fft_len(la + lb - 1)
+    n = _fft_len(2 * (-(-la // 3) + -(-lb // 3)) - 1)  # two 12-bit limbs per 3 bytes
+    if not (wide := _wide(n)):
+        n = _fft_len(la + lb - 1)
     # Each buffer goes once it is used: the buffers, not the ints, set the peak memory.
-    spec = np.fft.rfft(np.frombuffer(a.to_bytes(la, "little"), np.uint8), n)
-    spec *= spec if b is a else np.fft.rfft(np.frombuffer(b.to_bytes(lb, "little"), np.uint8), n)
+    spec = np.fft.rfft(_limbs(a, wide), n)
+    spec *= spec if b is a else np.fft.rfft(_limbs(b, wide), n)
     c = np.fft.irfft(spec, n)
     del spec
     r = np.rint(c)
@@ -368,11 +387,15 @@ def _mul(a: int, b: int) -> int:
     if np.abs(c, out=c).max() > 0.25:
         return a * b
     del c
-    limbs = r.astype("<i8").view(np.uint8).reshape(n, 8)
+    # sum_k c_k 2^wk as 48 / w ints: the c_k with k = j mod 48 / w lie 48 bits
+    # apart, each below 2^41, so the low 3 uint16 of its int64.  Linear passes.
+    w = 12 if wide else 8
+    coef = np.zeros(-(-n * w // 48) * 48 // w, np.int64)
+    coef[:n] = r
     del r
-    # sum_k c_k 256^k, read as byte j of every c_k shifted by 8j: linear passes.
-    return sum(int.from_bytes(limbs[:, j].tobytes(), "little") << 8 * j
-               for j in range(((min(la, lb) * 255**2).bit_length() + 7) // 8))
+    parts = coef.view(np.uint16).reshape(-1, 48 // w, 4)[:, :, :3].transpose(1, 0, 2).copy()
+    del coef
+    return sum(int.from_bytes(p.tobytes(), "little") << w * j for j, p in enumerate(parts))
 
 
 def _grown(step, n: int) -> tuple[int, int]:

@@ -157,9 +157,17 @@ def _member(canonical: np.ndarray, words: np.ndarray) -> np.ndarray:
 
 
 def _in_product(words: np.ndarray, u: "WordSet", v: "WordSet", gap: int = 0) -> np.ndarray:
-    """Which packed `words` lie in u {0,1}^gap v: first |u| symbols in u and last |v| in v."""
-    return _member(u._packed, slice_packed(words, 1, u.length)) & _member(
-        v._packed, words >> np.uint64(u.length + gap))
+    """Which packed `words` lie in u {0,1}^gap v: first |u| symbols in u and last |v| in v.
+
+    Asked a `_BLOCK` of words at a time, so `_member`'s scratch stays that size.
+    """
+    inside = np.empty(len(words), dtype=bool)
+    for lo in range(0, len(words), _BLOCK):
+        block = words[lo:lo + _BLOCK]
+        np.logical_and(_member(u._packed, slice_packed(block, 1, u.length)),
+                       _member(v._packed, block >> np.uint64(u.length + gap)),
+                       out=inside[lo:lo + _BLOCK])
+    return inside
 
 
 def _suffix_counts(canonical: np.ndarray, length: int) -> np.ndarray:

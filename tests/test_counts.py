@@ -1,5 +1,6 @@
 import functools
 import math
+import random
 import sys
 import threading
 
@@ -289,9 +290,9 @@ def test_mul_of_all_ones_is_exact(irfft_calls, la, lb):
     assert len(irfft_calls) == 2
 
 
-def percival_bound(n):
-    # The docstring of `_mul`: N 255^2 (c log2 N) 2^-53 with c = 16.
-    return n * 255**2 * 16 * math.log2(n) * 2.0**-53
+def percival_bound(n, w=8):
+    # The docstring of `_mul`: N (2^w - 1)^2 (c log2 N) 2^-53 with c = 16.
+    return n * ((1 << w) - 1)**2 * 16 * math.log2(n) * 2.0**-53
 
 
 def test_largest_transform_is_inside_the_rounding_bound():
@@ -310,12 +311,56 @@ def test_mul_of_all_ones_at_the_largest_transform(irfft_calls):
 
 
 def test_longer_products_are_left_to_cpython(monkeypatch, irfft_calls):
-    monkeypatch.setattr(inflation, "_MUL_MAX_LEN", 1 << 13)
-    a = all_ones(1 << 12)
-    b = a + 2  # 2^12 + 1 limbs
-    assert inflation._mul(a, b) == a * b  # a product of 2^13 limbs: admitted
-    assert inflation._mul(a, b << 8) == a * (b << 8)  # 2^13 + 1: one too many
-    assert irfft_calls == [1 << 13]
+    # 2^19 byte limbs are past the reach of 12-bit limbs, so bytes it is.
+    monkeypatch.setattr(inflation, "_MUL_MAX_LEN", 1 << 19)
+    a = all_ones(1 << 18)
+    b = a + 2  # 2^18 + 1 limbs
+    assert inflation._mul(a, b) == a * b  # a product of 2^19 limbs: admitted
+    assert inflation._mul(a, b << 8) == a * (b << 8)  # 2^19 + 1: one too many
+    assert irfft_calls == [1 << 19]
+
+
+SMOOTH = inflation._smooth(2 * inflation._MUL_MAX_LEN)
+#: The longest transform over 12-bit limbs: 3 * 5^7 = 234,375.
+WIDE_TOP = max(n for n in SMOOTH if inflation._wide(n))
+
+
+def test_12_bit_limbs_exactly_where_the_bound_is_below_an_eighth():
+    wide = [n for n in SMOOTH if inflation._wide(n)]
+    assert wide == [n for n in SMOOTH if percival_bound(n, 12) < 1 / 8]
+    assert wide == SMOOTH[:len(wide)] and WIDE_TOP == 234_375
+    assert percival_bound(SMOOTH[len(wide)], 12) >= 1 / 8
+
+
+def test_all_ones_at_the_longest_12_bit_transform_and_the_next(irfft_calls):
+    # g groups of 3 bytes, all ones, are 2g limbs of 4095: the worst case for
+    # rounding.  A product of 2 ga + 2 gb - 1 limbs takes the least smooth length.
+    g = (WIDE_TOP + 1) // 4
+    for ga, gb in ((g, g), (g, g + 1)):
+        a, b = all_ones(3 * ga), all_ones(3 * gb)
+        assert inflation._mul(a, b) == (1 << 24 * (ga + gb)) - (1 << 24 * ga) - (1 << 24 * gb) + 1
+    assert inflation._fft_len(4 * g + 1) > WIDE_TOP  # 12-bit limbs would need more
+    assert irfft_calls == [WIDE_TOP, inflation._fft_len(3 * (2 * g + 1) - 1)]
+
+
+@pytest.mark.parametrize("nbytes,wide", [
+    (3 * ((WIDE_TOP + 1) // 4), True), (3 * ((WIDE_TOP + 1) // 4) + 1, False)],
+    ids=["12_bit", "bytes"])
+def test_products_and_squarings_on_each_side_of_the_switch(irfft_calls, nbytes, wide):
+    rng = random.Random(nbytes)
+    a = rng.getrandbits(8 * nbytes) | 1 << 8 * nbytes - 1
+    b = rng.getrandbits(8 * nbytes) | 1 << 8 * nbytes - 1
+    assert inflation._mul(a, b) == a * b
+    assert inflation._mul(a, a) == a * a
+    n = inflation._fft_len(4 * -(-nbytes // 3) - 1 if wide else 2 * nbytes - 1)
+    assert irfft_calls == [n, n] and inflation._wide(n) == wide
+
+
+def test_counting_to_33_takes_12_bit_transforms_only(irfft_calls):
+    clear_caches()
+    for n in range(34):
+        count_A_long(n), count_A_short(n), count_A_explicit(n)
+    assert irfft_calls and max(irfft_calls) <= WIDE_TOP
 
 
 def test_a_coefficient_off_the_integers_falls_back_to_cpython(monkeypatch, irfft_calls):

@@ -185,6 +185,17 @@ def test_in_product_matches_member_on_the_built_product_over_A(n, order, gap):
     assert 0 < np.count_nonzero(got) < len(words)  # A_n holds words of both kinds
 
 
+@pytest.mark.parametrize("block", [7, 1000])
+def test_in_product_asks_block_by_block(monkeypatch, block):
+    # 40,320 words of A_8 with every 2-symbol gap: blocks of 7 end mid-array.
+    u, v, product = built_product(8, 1, 2)
+    words = with_every_gap(enumerate_A(8).packed, u.length, 2)
+    monkeypatch.setattr(wordset, "_BLOCK", block)
+    assert np.array_equal(wordset._in_product(words, u, v, 2),
+                          wordset._member(product.packed, words))
+    assert wordset._in_product(words[:0], u, v, 2).shape == (0,)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(3, 8), st.integers(0, 1), st.sampled_from([0, 2]), st.data())
 def test_in_product_matches_member_on_the_built_product_over_drawn_words(n, order, gap, data):

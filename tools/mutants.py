@@ -77,7 +77,7 @@ MUTANTS = [
     Mutant("distinct_run_count", "src/rfw/wordset.py",
            "owned[:-1]) < _FEW_RUNS", "owned[:-1]) <= _FEW_RUNS"),
     Mutant("in_product_drops_its_gap", "src/rfw/wordset.py",
-           "words >> np.uint64(u.length + gap))", "words >> np.uint64(u.length))"),
+           "block >> np.uint64(u.length + gap))", "block >> np.uint64(u.length))"),
     Mutant("unchecked_constructor_skips_the_length", "src/rfw/wordset.py",
            "        _check_length(length)\n        self = cls.__new__(cls)\n",
            "        self = cls.__new__(cls)\n"),
@@ -99,6 +99,13 @@ MUTANTS = [
            "    a, ea = _split(m - 1)\n", "    a, ea = _split(m)\n"),
     Mutant("count_explicit_twos", "src/rfw/inflation.py",
            "        twos += e * f[i - 2]\n", "        twos += e * f[i - 1]\n"),
+    # The FFT product kernel.
+    Mutant("mul_nibble_mask", "src/rfw/inflation.py",
+           "(b[:, 1] & 15) << 8", "(b[:, 1] & 7) << 8"),
+    Mutant("mul_wide_bound_a_half", "src/rfw/inflation.py",
+           "2.0**-53 < 1 / 8", "2.0**-53 < 1 / 2"),
+    Mutant("mul_drops_the_24_bit_shift", "src/rfw/inflation.py",
+           "<< w * j for j", "<< w * j % 24 for j"),
     # Both file formats and the CLI's exit codes.
     Mutant("binary_count_in_header", "src/rfw/wordset.py",
            "self.length, len(self._packed)))", "self.length, len(self._packed) + 1))"),
