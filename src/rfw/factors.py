@@ -171,19 +171,16 @@ def verify_prefix_stability(n: int, k: int) -> VerifyResult:
 
 
 def verify_superset(n: int, *, reversed_form: bool = False) -> VerifyResult:
-    """A_n lies in the product set (A_{n-1}[1, f_{n-1}-1]) {0,1}^2 (A_{n-2}[2, f_{n-2}]).
+    """A_n lies in u[1, |u|-1] {0,1}^2 v[2, |v|] for (u, v) = halves(n)[reversed_form].
 
-    The reversed form checks the mirror statement obtained by reversing
-    both sides (valid since every A_m is reversal-closed).
+    The first pair gives A_n in A_{n-1}[1, f_{n-1}-1] {0,1}^2 A_{n-2}[2, f_{n-2}]; the
+    reversed form, its mirror, reads the second: A_{n-2}[1, f_{n-2}-1] {0,1}^2 A_{n-1}[2, f_{n-1}].
     """
     if n < 4:
         raise ValueError(f"superset check needs n >= 4, got {n}")
     a_n = enumerate_A(n)
-    if reversed_form:
-        a_n = a_n.reverse()
-    (big, small), _ = halves(n)
-    head, tail = big.slices(1, big.length - 1), small.slices(2, small.length)
-    inside = _in_product(a_n.packed, head, tail, gap=2)
+    u, v = halves(n)[reversed_form]
+    inside = _in_product(a_n.packed, u.slices(1, u.length - 1), v.slices(2, v.length), gap=2)
     if inside.all():
         return VerifyResult(True)
     w = Word(int(a_n.packed[int(np.argmin(inside))]), a_n.length)

@@ -320,16 +320,32 @@ def test_verify_scans_each_generation_once(monkeypatch, capsys):
 
 @pytest.mark.parametrize("reversed_form", [False, True])
 def test_superset_witness_is_the_first_escaping_word(monkeypatch, reversed_form):
-    # With 110 gone from the A_4 of halves(5), no word may start 11: 11001 and
-    # 11010 escape, and 11010 (packed 11) comes before 11001 (packed 19) in
-    # canonical order, though not in string order; A_5 is its own reverse.
-    (big, small), second = halves(5)
+    # Each form reads its own pair of halves(5), A_4 at index reversed_form in
+    # both.  With 110 gone from that A_4, no word may start 11 (the first pair's
+    # A_4[1, 2]) or end 10 (the second pair's A_4[2, 3]); either way 11010
+    # (packed 11) escapes first in canonical order, though not in string order.
+    pairs = [list(pair) for pair in halves(5)]
+    a_4 = pairs[reversed_form][reversed_form]
     short = WordSet(3, [Word.parse("011"), Word.parse("101")])
-    assert len(big) == 3 and short.issubset(big)
-    monkeypatch.setattr(factors, "halves", lambda n: ((short, small), second))
+    assert len(a_4) == 3 and short.issubset(a_4)
+    pairs[reversed_form][reversed_form] = short
+    monkeypatch.setattr(factors, "halves", lambda n: pairs)
     res = verify_superset(5, reversed_form=reversed_form)
     assert not res.ok
     assert res.witness == f"11010 in A_5 escapes the superset (reversed={reversed_form})"
+    assert verify_superset(5, reversed_form=not reversed_form).ok
+
+
+def test_superset_check_reverses_nothing(monkeypatch):
+    # The mirrored form reads the second pair of halves(n), not A_n reversed:
+    # `verify` checks reversal closure, so no other check may lean on it.
+    def refuse(*args):
+        raise AssertionError("verify_superset reversed a set")
+
+    monkeypatch.setattr(WordSet, "reverse", refuse)
+    monkeypatch.setattr(wordset, "reverse_packed", refuse)
+    for n in range(4, 10):
+        assert verify_superset(n, reversed_form=True).ok
 
 
 @pytest.mark.parametrize("check", [lambda: verify_superset(9),

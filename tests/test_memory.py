@@ -102,10 +102,12 @@ def test_windows_past_the_table_merge_one_start_at_a_time(a9):
     assert peak <= 1.4 * a9.packed.nbytes
 
 
-def test_superset_check_asks_its_product_a_block_at_a_time(a9):
+@pytest.mark.parametrize("reversed_form", [False, True])
+def test_superset_check_asks_its_product_a_block_at_a_time(a9, reversed_form):
     # One bool a word of A_9 plus a block's search scratch; asking every word
-    # at once held three word-sized arrays (3.13).  Measured 0.25.
-    result, peak = traced_peak(lambda: factors.verify_superset(9))
+    # at once held three word-sized arrays (3.13), and the mirrored form once
+    # reversed A_9 as well (1.25).  Measured 0.25 in both forms.
+    result, peak = traced_peak(lambda: factors.verify_superset(9, reversed_form=reversed_form))
     assert result.ok
     assert peak <= 0.5 * a9.packed.nbytes
 

@@ -48,6 +48,8 @@ MUTANTS = [
            "    return VerifyResult(True)\n    a_n, f_n = enumerate_A(n), fib(n)\n    head, tail"),
     Mutant("verify_superset_vacuous", "src/rfw/factors.py",
            "    if inside.all():\n", "    if True:\n"),
+    Mutant("superset_mirror_reads_the_first_pair", "src/rfw/factors.py",
+           "u, v = halves(n)[reversed_form]", "u, v = halves(n)[0]"),
     Mutant("verify_factor_stability_pass_above_3", "src/rfw/factors.py",
            "    if first == later:\n", "    if first == later or n > 3:\n"),
     Mutant("verify_slice_bound_never_over", "src/rfw/factors.py",
