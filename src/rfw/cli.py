@@ -265,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="generator seed, 0 <= SEED < 2^64")
     p.add_argument("--count", type=_at_least(0), default=1)
     p.add_argument("--check", action="store_true",
-                   help="assert each sample is a member of the enumerated set")
+                   help="assert each sample is a member of A_n, split by its halves from n = 3")
     p.set_defaults(func=cmd_sample)
 
     for name, text, func in (("factors", "write the factor set F_n", cmd_factors),

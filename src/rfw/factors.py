@@ -24,7 +24,7 @@ import numpy as np
 from .inflation import (MAX_ENUMERATED, BudgetError, VerifyResult, check_capacity,
                         enumerate_A, halves)
 from .words import Word, fib
-from .wordset import WordSet, _in_product, _product_windows, _suffix_counts, _window_set
+from .wordset import WordSet, _in_product, _member, _product_windows, _suffix_counts, _window_set
 
 DEFAULT_ITEM_CAP = 1 << 26
 
@@ -125,7 +125,7 @@ def factor_set_Fn(n: int, item_cap: int = DEFAULT_ITEM_CAP) -> WordSet:
 def _cut_counts(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """|A_n[1,k]| and |A_n[k+1,f_n]| for the cuts k = 1..f_n-1, each from one sorted array.
 
-    Prefixes are counted on the reversed set, sorted: `verify` checks reversal closure.
+    Any set's length-k prefixes are, one to one, its reversed words' length-k suffixes reversed.
     """
     a = enumerate_A(n)
     heads = _suffix_counts(a.reverse().packed, a.length)[1:-1]
@@ -201,8 +201,8 @@ def verify_factor_stability(n: int, k: int) -> VerifyResult:
     later = factor_set(_next_factors(n + k - 1), f_n)
     if first == later:
         return VerifyResult(True)
-    diff = np.setxor1d(first.packed, later.packed, assume_unique=True)
-    w = Word(int(diff[0]), f_n)
+    a, b = first.packed, later.packed
+    w = Word(int(np.concatenate([a[~_member(b, a)], b[~_member(a, b)]]).min()), f_n)
     return VerifyResult(False, f"F(A_{n + 1},f_{n}) != F(A_{n + k},f_{n}), e.g. {w}")
 
 

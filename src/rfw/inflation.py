@@ -264,12 +264,12 @@ def halves(n: int) -> tuple[tuple[WordSet, WordSet], ...]:
 def membership(n: int) -> Callable[[np.ndarray], np.ndarray]:
     """A vectorized test of which packed f_n-symbol words lie in A_n.
 
-    The sets it reads, A_9 at most, are built now.  Above MAX_ENUMERATED each
-    of the two `halves(n)` (u, v) splits a word into its first |u| symbols
-    (its low bits), looked up in u, and the rest, looked up in v.
+    The sets it reads, A_9 at most, are built now.  From n = 3 each of the two
+    `halves(n)` (u, v) splits a word into its first |u| symbols (its low
+    bits), looked up in u, and the rest, looked up in v; A_1 and A_2 are looked up.
     """
     check_chain(n)
-    if n <= MAX_ENUMERATED:
+    if n < 3:
         return partial(_member, enumerate_A(n).packed)
     both = halves(n)
     return lambda words: np.logical_or.reduce([_in_product(words, u, v) for u, v in both])
@@ -530,6 +530,6 @@ def verify_overlap(n: int) -> VerifyResult:
     rhs = a2.product(a3).product(a2)
     if lhs == rhs:
         return VerifyResult(True)
-    diff = np.setxor1d(lhs.packed, rhs.packed, assume_unique=True)
-    w = Word(int(diff[0]), lhs.length)
+    a, b = lhs.packed, rhs.packed
+    w = Word(int(np.concatenate([a[~_member(b, a)], b[~_member(a, b)]]).min()), lhs.length)
     return VerifyResult(False, f"overlap mismatch at n = {n}, e.g. {w}")

@@ -253,7 +253,7 @@ def reverse_packed(packed: np.ndarray, length: int) -> np.ndarray:
 def _both_products(u: "WordSet", v: "WordSet") -> "WordSet":
     """u·v ∪ v·u, for |u| + |v| <= 64: u·v, then the words of v·u that it lacks.
 
-    Take |u| >= |v| (the union is symmetric) and d = |u| - |v|.  By the
+    The longer half comes first, |u| >= |v|, and d = |u| - |v|.  By the
     definition of a product set, a word st of v·u (s from v, t from u) lies
     in u·v iff its first |u| symbols, s then t's first d, lie in u, and its
     last |v|, t's last |v|, lie in v.  Each test is one `_member` call on a
@@ -264,8 +264,6 @@ def _both_products(u: "WordSet", v: "WordSet") -> "WordSet":
     written as `product` writes it, in one buffer of two runs, which
     `_distinct` merges in place.
     """
-    if u.length < v.length:
-        u, v = v, u
     d = u.length - v.length
     heads = u._packed & np.uint64((1 << d) - 1)  # every t's first d symbols
     prefixes = _distinct(heads.copy())

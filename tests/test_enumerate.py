@@ -1,10 +1,18 @@
 import ast
+import inspect
+from functools import lru_cache
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rfw import (BudgetError, CapacityError, Word, WordSet, cli, count_A_explicit,
-                 enumerate_A, inflation, verify_overlap, verify_palindromic)
+from rfw import (DEFAULT_BUDGET, WORD_CAPACITY, BudgetError, CapacityError, Word, WordSet, cli,
+                 count_A_explicit, enumerate_A, fib, inflation, verify_overlap,
+                 verify_palindromic)
+from rfw.inflation import MAX_ENUMERATED, MAX_GENERATION
+from rfw.wordset import _member
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "rfw"
 
@@ -51,6 +59,50 @@ def test_membership():
     assert Word.parse("01011") in a5
     assert Word.parse("00000") not in a5
     assert Word.parse("0101") not in a5   # wrong length
+
+
+@lru_cache(maxsize=None)
+def membership_without(n):
+    """`membership(n)` built with `enumerate_A(n)` patched to raise: it must not read A_n."""
+    real = inflation.enumerate_A
+
+    def refusing(m):
+        if m == n:
+            raise AssertionError(f"membership({n}) built A_{n}")
+        return real(m)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(inflation, "enumerate_A", refusing)
+        return inflation.membership(n)
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_membership_splits_every_generation_by_its_halves(n):
+    a_n = enumerate_A(n)
+    member = membership_without(n)
+    assert member(a_n.packed).all()
+    if a_n.length <= 21:  # every f_n-symbol word, 2^21 of them at n = 8
+        words = np.arange(1 << a_n.length, dtype=np.uint64)
+        assert np.array_equal(member(words), _member(a_n.packed, words))
+    assert "MAX_ENUMERATED" not in inspect.getsource(inflation.membership)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(3, 9).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(0, (1 << fib(n)) - 1), max_size=20),
+    st.lists(st.tuples(st.integers(0, len(enumerate_A(n)) - 1),
+                       st.sets(st.integers(0, fib(n) - 1), max_size=3)), max_size=40))))
+def test_membership_by_halves_agrees_with_a_lookup(case):
+    # Free words, and members of A_n with up to three symbols flipped.
+    n, free, near = case
+    a_n = enumerate_A(n)
+    words = np.array(free + [int(a_n.packed[i]) ^ sum(1 << j for j in flips) for i, flips in near],
+                     dtype=np.uint64)
+    assert np.array_equal(membership_without(n)(words), _member(a_n.packed, words))
+
+
+def test_the_ceiling_is_the_budget_and_the_word_capacity():
+    assert count_A_explicit(MAX_ENUMERATED) <= DEFAULT_BUDGET < count_A_explicit(MAX_ENUMERATED + 1)
+    assert fib(MAX_GENERATION) <= WORD_CAPACITY < fib(MAX_GENERATION + 1)
 
 
 def test_budget_guard():

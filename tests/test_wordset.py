@@ -152,10 +152,15 @@ def packed_set(length, values):
 @example((packed_set(40, [(1 << 40) - 1, 12345]), packed_set(24, [(1 << 24) - 1, 7])))
 @example((packed_set(64, [(1 << 64) - 1, 3]), packed_set(0, [0])))
 def test_both_products_match_the_union_of_two_products(pair):
-    u, v = pair
+    u, v = sorted(pair, key=lambda s: -s.length)  # the longer half first; the union is symmetric
     got = wordset._both_products(u, v)
     assert got == u.product(v).union(v.product(u))
     members(got)
+
+
+def test_both_products_refuses_a_shorter_first_half():
+    with pytest.raises(ValueError, match="negative shift"):
+        wordset._both_products(enumerate_A(4), enumerate_A(5))
 
 
 FREE_BLOCK = WordSet.from_packed(2, np.arange(4, dtype=np.uint64))  # {0,1}^2
@@ -750,20 +755,14 @@ def test_suffix_counts_match_per_length_slices(ws, block):
 # numpy >= 2.3 deduplicates by hashing in these; on packed words that is
 # 35-90x slower than the sort in WordSet's kernel.  `isin` and `in1d` (and
 # so `intersect1d`) pick a value table, a Python loop or a sort by their own
-# heuristics, whatever `assume_unique` says; membership goes through
-# `wordset._member`.  Only `setxor1d`, for failure witnesses, is left.
-HASHING = {"unique", "union1d", "isin", "in1d", "intersect1d"}
-HASHING_UNLESS_UNIQUE = {"setxor1d"}
+# heuristics, whatever `assume_unique` says.  Membership, the verifiers'
+# failure witnesses included, goes through `wordset._member`.
+HASHING = {"unique", "union1d", "isin", "in1d", "intersect1d", "setxor1d"}
 
 
 def _called_name(call):
     func = call.func
     return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-
-
-def _assumes_unique(call):
-    return any(kw.arg == "assume_unique" and isinstance(kw.value, ast.Constant)
-               and kw.value.value is True for kw in call.keywords)
 
 
 def hashing_calls(source):
@@ -772,7 +771,7 @@ def hashing_calls(source):
         if not isinstance(node, ast.Call):
             continue
         name = _called_name(node)
-        if name in HASHING or (name in HASHING_UNLESS_UNIQUE and not _assumes_unique(node)):
+        if name in HASHING:
             found.append(f"line {node.lineno}: {name}")
     return found
 
@@ -786,7 +785,8 @@ def test_guard_sees_hashing_calls():
               "np.setxor1d(a, b, assume_unique=True)\n")
     assert hashing_calls(source) == [
         "line 1: unique", "line 2: union1d", "line 3: intersect1d", "line 4: setxor1d",
-        "line 5: intersect1d", "line 6: isin", "line 7: isin", "line 8: in1d", "line 9: isin"]
+        "line 5: intersect1d", "line 6: isin", "line 7: isin", "line 8: in1d", "line 9: isin",
+        "line 10: setxor1d"]
 
 
 def test_library_never_dedups_by_hashing():

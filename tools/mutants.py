@@ -85,6 +85,8 @@ MUTANTS = [
            "        self = cls.__new__(cls)\n"),
     Mutant("overlap_splits_on_the_first_pair", "src/rfw/inflation.py",
            "_in_product(first.packed, *second)", "_in_product(first.packed, u, v)"),
+    Mutant("membership_reads_one_half", "src/rfw/inflation.py",
+           "for u, v in both]", "for u, v in both[:1]]"),
     # The sampler.
     Mutant("threshold_floor", "src/rfw/inflation.py",
            "math.ceil(math.ldexp(p, 53))", "math.floor(math.ldexp(p, 53))"),
