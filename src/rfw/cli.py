@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: table, entropy, verify, sample, factors, export; the one global
-flag is --item-cap, and enumeration has a fixed budget (see DEFAULT_BUDGET)
-that refuses A_10 only.  Exit codes: 0 all good, 1 a verified property
-failed, 2 resource or configuration errors (budget, item cap, capacity,
+flag is --item-cap, and sets are enumerated up to A_9 (MAX_ENUMERATED), so
+A_10 is refused.  Exit codes: 0 all good, 1 a verified property failed, 2
+resource or configuration errors (the A_9 ceiling, item cap, capacity,
 memory, bad flags or values such as an unknown verify property or a
 negative --max-n, files that cannot be written).
 `main` turns each of these errors into exit code 2 and a one-line message;

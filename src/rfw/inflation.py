@@ -28,10 +28,8 @@ from functools import cache, lru_cache, partial
 
 import numpy as np
 
-from .words import CapacityError, Word, fibs
-from .wordset import WordSet, _both_products, _in_product, _member, reverse_packed
-
-DEFAULT_BUDGET = 10**8
+from .words import CapacityError, Word, _check_length, fibs
+from .wordset import WordSet, _both_products, _in_product, _member
 
 #: Largest generation whose words fit 64 symbols (f_10 = 55 <= 64 < 89 = f_11).
 MAX_GENERATION = 10
@@ -40,7 +38,7 @@ MAX_ENUMERATED = MAX_GENERATION - 1
 
 
 class BudgetError(RuntimeError):
-    """A requested enumeration would exceed the fixed element budget, DEFAULT_BUDGET."""
+    """A requested set is past a fixed limit: A_n beyond MAX_ENUMERATED, or the item cap."""
 
 
 @dataclass
@@ -116,9 +114,7 @@ def inflate_step(w: Word, p: float, rng: PrngHandle) -> Word:
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability {p} outside [0, 1]")
-    zeros = w.length - w.bits.bit_count()
-    if zeros + 2 * (w.length - zeros) > 64:
-        raise CapacityError(f"inflating a word with {w.length - zeros} ones exceeds capacity")
+    _check_length(w.length + w.bits.bit_count())
     bits = 0
     pos = 0
     for i in range(w.length):
@@ -169,6 +165,7 @@ def _step8() -> np.ndarray:
         table |= 1 << s + (one & c >> k)
         s += 1 + one
         k += one
+    table.flags.writeable = False  # cached: one write would change every later sample
     return table.ravel()
 
 
@@ -227,17 +224,17 @@ def sample_chain(n: int, p: float, rng: PrngHandle) -> Word:
 
 
 def enumerate_A(n: int) -> WordSet:
-    """The full set A_n, canonically ordered.
+    """The full set A_n, canonically ordered, for n <= MAX_ENUMERATED.
 
-    The predicted size (explicit product formula) is checked against
-    DEFAULT_BUDGET before anything is built, so A_10 (~3.8e10 words) is refused.
+    A_10 (~3.8e10 words) is refused before anything is built; the explicit
+    product is read only to name its size.
     """
     if n < 0:
         raise ValueError(f"generation must be >= 0, got {n}")
     check_capacity(n)
-    predicted = count_A_explicit(n)
-    if predicted > DEFAULT_BUDGET:
-        raise BudgetError(f"|A_{n}| = {predicted} exceeds budget {DEFAULT_BUDGET}")
+    if n > MAX_ENUMERATED:
+        raise BudgetError(f"|A_{n}| = {count_A_explicit(n)} words: "
+                          f"sets are enumerated up to A_{MAX_ENUMERATED}")
     return _enumerate(n)
 
 
@@ -510,8 +507,8 @@ def verify_palindromic(n: int) -> VerifyResult:
     rev = a.reverse()
     if rev == a:
         return VerifyResult(True)
-    # The words whose reverse is missing are the reverses of rev's words missing from A_n.
-    missing = reverse_packed(rev.packed[~_member(a.packed, rev.packed)], a.length)
+    # Reversal is an involution: the words whose reverse is missing are nobody's reverse.
+    missing = a.packed[~_member(rev.packed, a.packed)]
     return VerifyResult(False, f"reverse({Word(int(missing.min()), a.length)}) not in A_{n}")
 
 

@@ -57,8 +57,7 @@ class Word:
     @classmethod
     def parse(cls, text: str) -> "Word":
         """Build a word from its ASCII form, leftmost character = position 1."""
-        if len(text) > WORD_CAPACITY:
-            raise CapacityError(f"word of {len(text)} symbols exceeds capacity")
+        _check_length(len(text))
         bits = 0
         for i, ch in enumerate(text):
             if ch == "1":

@@ -20,7 +20,7 @@ from typing import IO, Callable, Iterable, Iterator
 
 import numpy as np
 
-from .words import WORD_CAPACITY, CapacityError, Word, _check_length
+from .words import WORD_CAPACITY, Word, _check_length
 
 # Widest words `_table` marks: 2^24 one-byte flags, 16 MB.
 _TABLE_BITS = 24
@@ -384,9 +384,7 @@ class WordSet:
         canonical operands give no duplicates, since the split point is fixed.
         """
         length = self.length + other.length
-        if length > WORD_CAPACITY:
-            raise CapacityError(
-                f"product words of {self.length} + {other.length} symbols exceed capacity")
+        _check_length(length)
         out = np.bitwise_or.outer(other._packed << np.uint64(self.length), self._packed)
         return WordSet._of(length, out.ravel())
 

@@ -60,7 +60,7 @@ def test_table_resource_error(capsys):
     for command in ("export", "factors"):
         code, _, err = run(capsys, command, "-n", "10")
         assert code == 2
-        assert err == f"{command}: |A_10| = 37623398400 exceeds budget 100000000\n"
+        assert err == f"{command}: |A_10| = 37623398400 words: sets are enumerated up to A_9\n"
 
 
 def test_budget_is_not_a_flag(capsys):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rfw import (DEFAULT_BUDGET, WORD_CAPACITY, BudgetError, CapacityError, Word, WordSet, cli,
+from rfw import (WORD_CAPACITY, BudgetError, CapacityError, Word, WordSet, cli,
                  count_A_explicit, enumerate_A, fib, inflation, verify_overlap,
                  verify_palindromic)
 from rfw.inflation import MAX_ENUMERATED, MAX_GENERATION
@@ -101,7 +101,6 @@ def test_membership_by_halves_agrees_with_a_lookup(case):
 
 
 def test_the_ceiling_is_the_budget_and_the_word_capacity():
-    assert count_A_explicit(MAX_ENUMERATED) <= DEFAULT_BUDGET < count_A_explicit(MAX_ENUMERATED + 1)
     assert fib(MAX_GENERATION) <= WORD_CAPACITY < fib(MAX_GENERATION + 1)
 
 
@@ -110,6 +109,24 @@ def test_budget_guard():
     with pytest.raises(BudgetError):
         enumerate_A(10)
     assert count_A_explicit(10) == 37623398400
+
+
+@pytest.mark.parametrize("n", range(MAX_ENUMERATED + 1))
+def test_enumeration_below_the_ceiling_reads_no_count(n, monkeypatch):
+    want = count_A_explicit(n)
+
+    def no_count(m):
+        raise AssertionError(f"count_A_explicit({m}) read below the ceiling")
+
+    monkeypatch.setattr(inflation, "count_A_explicit", no_count)
+    a_n = enumerate_A(n)
+    assert len(a_n) == want and a_n.length == fib(n)
+
+
+def test_the_ceiling_refuses_A_10_by_its_size():
+    with pytest.raises(BudgetError,
+                       match=r"^\|A_10\| = 37623398400 words: sets are enumerated up to A_9$"):
+        enumerate_A(10)
 
 
 def test_capacity_guard():

@@ -55,7 +55,7 @@ CORPUS = {
     "factors-item-cap": (["--item-cap", "10", "factors", "-n", "6"], 2, EMPTY,
                          "43229f0cdceb04a84275f4fca09a185609f2a6617d7c252464c18033af0f7d90", {}),
     "export-10": (["export", "-n", "10"], 2, EMPTY,
-                  "8e7b690f9f4fdf428cdfb78de15e4db5939a1e57f4a37fddbbdbefa95b084a66", {}),
+                  "db68ea1c7af4d1480fe5355776ca121d836641855ce352b5c3b2650981ffc724", {}),
     "factors-11": (["factors", "-n", "11"], 2, EMPTY,
                    "bf16512d8ca9150089c4e18e76092b54d0a5835847fcea42bc56cfa938abf13b", {}),
     "factors-7": (["factors", "-n", "7"], 0,

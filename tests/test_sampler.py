@@ -53,6 +53,11 @@ def test_deterministic_chain_at_p_one():
         assert str(sample_chain(n, 1.0, rng)) == want
 
 
+def test_step_table_refuses_a_write():
+    with pytest.raises(ValueError, match="read-only"):
+        inflation._step8()[0] = 0
+
+
 def test_chain_length_cap():
     with pytest.raises(CapacityError):
         sample_chain(11, 0.5, PrngHandle(0))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rfw import CapacityError, Word, WordSet, fib
+from rfw import CapacityError, PrngHandle, Word, WordSet, fib, inflate_step
 from rfw.words import fibs
 
 words = st.text(alphabet="01", max_size=64).map(Word.parse)
@@ -59,6 +59,16 @@ def test_parse_rejects_garbage():
         Word.parse("01x")
     with pytest.raises(CapacityError):
         Word.parse("0" * 65)
+
+
+@pytest.mark.parametrize("build, length", [
+    (lambda: one(Word.parse("1" * 40)).product(one(Word.parse("1" * 30))), 70),
+    (lambda: inflate_step(Word(2**34 - 1, 34), 0.5, PrngHandle(0)), 68),
+    (lambda: Word.parse("0" * 65), 65),
+], ids=["product", "inflate_step", "parse"])
+def test_every_64_symbol_bound_is_the_word_length_rule(build, length):
+    with pytest.raises(CapacityError, match=rf"^word length {length} outside \[0, 64\]$"):
+        build()
 
 
 def test_bits_beyond_length_rejected():

@@ -41,6 +41,9 @@ MUTANTS = [
     # Every `verify` property answering PASS whatever the sets hold.
     Mutant("verify_palindromic_vacuous", "src/rfw/inflation.py",
            "    if rev == a:\n", "    if True:\n"),
+    Mutant("palindromic_witness_reads_the_reverses", "src/rfw/inflation.py",
+           "missing = a.packed[~_member(rev.packed, a.packed)]",
+           "missing = rev.packed[~_member(a.packed, rev.packed)]"),
     Mutant("verify_overlap_vacuous", "src/rfw/inflation.py",
            "    if lhs == rhs:\n", "    if True:\n"),
     Mutant("verify_prefix_stability_vacuous", "src/rfw/factors.py",
@@ -62,6 +65,9 @@ MUTANTS = [
            "    bound = 10**30\n"),
     Mutant("format_c_half_even", "src/rfw/factors.py",
            "rounding=ROUND_HALF_UP)", 'rounding="ROUND_HALF_EVEN")'),
+    # The one ceiling on enumeration.
+    Mutant("enumerate_A_refuses_its_ceiling", "src/rfw/inflation.py",
+           "    if n > MAX_ENUMERATED:\n", "    if n >= MAX_ENUMERATED:\n"),
     # The set kernels.
     Mutant("member_unclamped", "src/rfw/wordset.py",
            "canonical[np.minimum(np.searchsorted(canonical, words), len(canonical) - 1)]",
