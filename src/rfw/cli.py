@@ -3,9 +3,9 @@
 Subcommands: table, entropy, verify, sample, factors, export; the one global
 flag is --item-cap, and sets are enumerated up to A_9 (MAX_ENUMERATED), so
 A_10 is refused.  Exit codes: 0 all good, 1 a verified property failed, 2
-resource or configuration errors (the A_9 ceiling, item cap, capacity,
-memory, bad flags or values such as an unknown verify property or a
-negative --max-n, files that cannot be written).
+a fixed limit (`CapacityError`: word length, generation, the A_9 ceiling,
+the item cap), memory, bad flags or values such as an unknown verify
+property or a negative --max-n, or files that cannot be written.
 `main` turns each of these errors into exit code 2 and a one-line message;
 a reader that closes stdout early ends the command quietly with exit code 0.
 `verify` instead reports a check that hits a limit as a RESOURCE line and
@@ -25,7 +25,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import factors, inflation
-from .inflation import MAX_ENUMERATED, BudgetError, PrngHandle
+from .inflation import MAX_ENUMERATED, PrngHandle
 from .words import CapacityError, Word, fib
 from .wordset import render_packed
 
@@ -163,7 +163,7 @@ def cmd_verify(args) -> int:
         ran += 1
         try:
             res = thunk()
-        except (BudgetError, CapacityError, MemoryError) as exc:
+        except (CapacityError, MemoryError) as exc:
             limited += 1
             print(f"RESOURCE  {prop:22s} {label}  [{str(exc) or type(exc).__name__}]")
             continue
@@ -289,7 +289,7 @@ def main(argv: list[str] | None = None) -> int:
         # flushes stdout again at exit, so point it at devnull first.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except (BudgetError, CapacityError, MemoryError, ValueError, OSError) as exc:
+    except (MemoryError, ValueError, OSError) as exc:
         print(f"{args.command}: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return _EXIT_RESOURCE
 

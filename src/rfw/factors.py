@@ -21,16 +21,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .inflation import (MAX_ENUMERATED, BudgetError, VerifyResult, check_capacity,
-                        enumerate_A, halves)
-from .words import Word, fib
+from .inflation import MAX_ENUMERATED, VerifyResult, check_capacity, enumerate_A, halves
+from .words import CapacityError, Word, fib
 from .wordset import WordSet, _in_product, _member, _product_windows, _suffix_counts, _window_set
 
 DEFAULT_ITEM_CAP = 1 << 26
 
 
-class ItemCapError(BudgetError):
-    """A construction would materialize more candidates than the item cap."""
+class ItemCapError(CapacityError):
+    """A construction would materialize more candidates than the item cap (`--item-cap`)."""
 
 
 @dataclass

@@ -37,10 +37,6 @@ MAX_GENERATION = 10
 MAX_ENUMERATED = MAX_GENERATION - 1
 
 
-class BudgetError(RuntimeError):
-    """A requested set is past a fixed limit: A_n beyond MAX_ENUMERATED, or the item cap."""
-
-
 @dataclass
 class VerifyResult:
     """Outcome of one brute-force property check, with a witness on failure."""
@@ -226,15 +222,15 @@ def sample_chain(n: int, p: float, rng: PrngHandle) -> Word:
 def enumerate_A(n: int) -> WordSet:
     """The full set A_n, canonically ordered, for n <= MAX_ENUMERATED.
 
-    A_10 (~3.8e10 words) is refused before anything is built; the explicit
-    product is read only to name its size.
+    A_10 (~3.8e10 words) is refused with `CapacityError` before anything is
+    built; the explicit product is read only to name its size.
     """
     if n < 0:
         raise ValueError(f"generation must be >= 0, got {n}")
     check_capacity(n)
     if n > MAX_ENUMERATED:
-        raise BudgetError(f"|A_{n}| = {count_A_explicit(n)} words: "
-                          f"sets are enumerated up to A_{MAX_ENUMERATED}")
+        raise CapacityError(f"|A_{n}| = {count_A_explicit(n)} words: "
+                            f"sets are enumerated up to A_{MAX_ENUMERATED}")
     return _enumerate(n)
 
 

@@ -16,7 +16,7 @@ WORD_CAPACITY = 64
 
 
 class CapacityError(ValueError):
-    """An operation would produce a word longer than 64 symbols."""
+    """A request past a fixed limit: word length, generation, the A_9 ceiling, or the item cap."""
 
 
 def fib(n: int) -> int:

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import rfw
-from rfw import PrngHandle, Word, WordSet, enumerate_A, inflation, sample_packed
+from rfw import CapacityError, PrngHandle, Word, WordSet, enumerate_A, inflation, sample_packed
 from rfw.cli import _SAMPLE_BLOCK, main
 from rfw.inflation import VerifyResult, halves, membership
 
@@ -158,13 +158,27 @@ def test_verify_reports_limits_and_goes_on(capsys):
     assert lines[-1] == "7/9 checks passed, 2 hit a limit"
 
 
+def test_verify_reports_every_fixed_limit_and_goes_on(capsys):
+    # n = 9 hits the item cap, n = 10 the A_9 ceiling and n = 11 the 64-symbol capacity.
+    code, out, err = run(capsys, "verify", "--max-n", "11", "--prop", "factor-bound")
+    assert code == 2 and err == ""
+    assert out.splitlines() == [f"PASS  factor-bound           n={n}" for n in range(3, 9)] + [
+        "RESOURCE  factor-bound           n=9  "
+        "[windowed F_9 projects 272490624 candidates, above item cap 67108864]",
+        "RESOURCE  factor-bound           n=10  "
+        "[|A_10| = 37623398400 words: sets are enumerated up to A_9]",
+        "RESOURCE  factor-bound           n=11  "
+        "[generation 11 is beyond 10: words over 64 symbols]",
+        "6/9 checks passed, 3 hit a limit"]
+
+
 def test_verify_exit_code_prefers_fail_to_limit(capsys, monkeypatch):
-    from rfw.inflation import BudgetError, VerifyResult
+    from rfw.inflation import VerifyResult
 
-    def over_budget():
-        raise BudgetError("too big")
+    def over_a_limit():
+        raise CapacityError("too big")
 
-    checks = [("cut-bound", "n=3", over_budget),
+    checks = [("cut-bound", "n=3", over_a_limit),
               ("overlap", "n=4", lambda: VerifyResult(False, "w"))]
     monkeypatch.setattr("rfw.cli._verify_checks", lambda *args: iter(checks))
     code, out, _ = run(capsys, "verify")
@@ -557,10 +571,10 @@ def floats(low, high):
 
 @st.composite
 def argvs(draw, out_dir):
-    # The fixed budget admits A_9, whose scans and exports take seconds, so n
+    # Sets are enumerated up to A_9, whose scans and exports take seconds, so n
     # and --max-n stay <= 7 (--max-n is always given: its default is 8), plus
     # values each command rejects before any work: -n 10 for export and
-    # factors (the budget refuses A_10), -n 11..10^7 (beyond 64 symbols) and
+    # factors (the A_9 ceiling refuses A_10), -n 11..10^7 (beyond 64 symbols) and
     # table --max-n 10..12 (not computable).  Neither cap admits F_9, which
     # needs --item-cap >= 2^29.
     argv = []

@@ -1,5 +1,7 @@
 import ast
+import importlib
 import inspect
+import pkgutil
 from functools import lru_cache
 from pathlib import Path
 
@@ -8,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rfw import (WORD_CAPACITY, BudgetError, CapacityError, Word, WordSet, cli,
-                 count_A_explicit, enumerate_A, fib, inflation, verify_overlap,
-                 verify_palindromic)
+import rfw
+from rfw import (DEFAULT_ITEM_CAP, WORD_CAPACITY, CapacityError, ItemCapError, Word, WordSet,
+                 cli, count_A_explicit, enumerate_A, factor_set_Fn, fib, inflation,
+                 verify_overlap, verify_palindromic)
 from rfw.inflation import MAX_ENUMERATED, MAX_GENERATION
 from rfw.wordset import _member
 
@@ -100,15 +103,8 @@ def test_membership_by_halves_agrees_with_a_lookup(case):
     assert np.array_equal(membership_without(n)(words), _member(a_n.packed, words))
 
 
-def test_the_ceiling_is_the_budget_and_the_word_capacity():
+def test_the_last_generation_fits_the_word_capacity():
     assert fib(MAX_GENERATION) <= WORD_CAPACITY < fib(MAX_GENERATION + 1)
-
-
-def test_budget_guard():
-    # n = 10 exceeds the default 1e8 budget by two orders of magnitude
-    with pytest.raises(BudgetError):
-        enumerate_A(10)
-    assert count_A_explicit(10) == 37623398400
 
 
 @pytest.mark.parametrize("n", range(MAX_ENUMERATED + 1))
@@ -124,7 +120,7 @@ def test_enumeration_below_the_ceiling_reads_no_count(n, monkeypatch):
 
 
 def test_the_ceiling_refuses_A_10_by_its_size():
-    with pytest.raises(BudgetError,
+    with pytest.raises(CapacityError,
                        match=r"^\|A_10\| = 37623398400 words: sets are enumerated up to A_9$"):
         enumerate_A(10)
 
@@ -134,25 +130,54 @@ def test_capacity_guard():
         enumerate_A(11)
 
 
-def budget_knobs(source, owner=False):
-    """Lines of `source` that take a `budget` parameter or read DEFAULT_BUDGET;
-    with `owner`, reads inside `enumerate_A` are allowed."""
-    tree = ast.parse(source)
-    inside = {id(node) for fn in ast.walk(tree)
-              if owner and isinstance(fn, ast.FunctionDef) and fn.name == "enumerate_A"
-              for node in ast.walk(fn)}
-    found = []
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            a = node.args
-            params = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
-            if any(p is not None and p.arg == "budget" for p in params):
-                found.append(node.lineno)
-        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
-        if (name == "DEFAULT_BUDGET" and isinstance(node.ctx, ast.Load)
-                and id(node) not in inside):
-            found.append(node.lineno)
-    return sorted(found)
+# Every fixed limit, the item cap included, raises the one type.
+FIXED_LIMITS = {
+    "ceiling": (lambda: enumerate_A(10),
+                r"^\|A_10\| = 37623398400 words: sets are enumerated up to A_9$"),
+    "generation": (lambda: enumerate_A(11),
+                   r"^generation 11 is beyond 10: words over 64 symbols$"),
+    "word-length": (lambda: Word.parse("0" * 65), r"^word length 65 outside \[0, 64\]$"),
+    "item-cap": (lambda: factor_set_Fn(9), "^windowed F_9 projects 272490624 candidates, "
+                                           f"above item cap {DEFAULT_ITEM_CAP}$"),
+}
+
+
+@pytest.mark.parametrize("limit", FIXED_LIMITS)
+def test_every_fixed_limit_is_a_capacity_error(limit):
+    request, message = FIXED_LIMITS[limit]
+    with pytest.raises(CapacityError, match=message) as exc:
+        request()
+    assert isinstance(exc.value, ItemCapError) == (limit == "item-cap")
+
+
+def test_no_budget_error_is_left():
+    assert not hasattr(rfw, "BudgetError") and not hasattr(inflation, "BudgetError")
+    assert "BudgetError" not in rfw.__all__
+
+
+def exception_classes():
+    """(module, name) of each exception class that a module of `src/rfw` defines."""
+    modules = [importlib.import_module(f"rfw.{info.name}")
+               for info in pkgutil.iter_modules(rfw.__path__)]
+    return {(module.__name__, name) for module in [rfw, *modules]
+            for name, obj in vars(module).items()
+            if isinstance(obj, type) and issubclass(obj, BaseException)
+            and obj.__module__ == module.__name__}
+
+
+def test_src_defines_exactly_the_two_limit_errors():
+    assert exception_classes() == {("rfw.words", "CapacityError"),
+                                   ("rfw.factors", "ItemCapError")}
+    assert issubclass(ItemCapError, CapacityError) and issubclass(CapacityError, ValueError)
+
+
+def budget_knobs(source):
+    """Lines of `source` that name an identifier containing "budget" in any
+    case: a variable, attribute, function, class, parameter or import."""
+    fields = ("id", "attr", "name", "arg", "asname", "module")
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   if any("budget" in (getattr(node, field, None) or "").lower()
+                          for field in fields)})
 
 
 def test_guard_sees_budget_knobs():
@@ -161,14 +186,16 @@ def test_guard_sees_budget_knobs():
               "def halves(n, budget=DEFAULT_BUDGET):\n    pass\n"
               "f = lambda *, budget: 0\n"
               "x = inflation.DEFAULT_BUDGET\n"
-              "def g(n, **budget):\n    pass\n")
-    assert budget_knobs(source, owner=True) == [4, 4, 6, 7, 8]
-    assert budget_knobs(source) == [3, 4, 4, 6, 7, 8]
+              "def g(n, **budget):\n    pass\n"
+              "class BudgetError(RuntimeError):\n    pass\n"
+              "from .inflation import BudgetError as Limit\n"
+              "h(spent=x.overBudget)\n")
+    assert budget_knobs(source) == [1, 3, 4, 6, 7, 8, 10, 12, 13]
 
 
 def test_only_enumerate_A_reads_the_budget():
     found = [f"{path.name} line {line}" for path in sorted(SRC.glob("*.py"))
-             for line in budget_knobs(path.read_text(), owner=path.name == "inflation.py")]
+             for line in budget_knobs(path.read_text())]
     assert found == []
 
 

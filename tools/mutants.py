@@ -65,9 +65,13 @@ MUTANTS = [
            "    bound = 10**30\n"),
     Mutant("format_c_half_even", "src/rfw/factors.py",
            "rounding=ROUND_HALF_UP)", 'rounding="ROUND_HALF_EVEN")'),
-    # The one ceiling on enumeration.
+    # The one ceiling on enumeration, and the one type for every fixed limit.
     Mutant("enumerate_A_refuses_its_ceiling", "src/rfw/inflation.py",
            "    if n > MAX_ENUMERATED:\n", "    if n >= MAX_ENUMERATED:\n"),
+    Mutant("item_cap_outside_the_limits", "src/rfw/factors.py",
+           "class ItemCapError(CapacityError):", "class ItemCapError(RuntimeError):"),
+    Mutant("verify_lets_a_limit_escape", "src/rfw/cli.py",
+           "except (CapacityError, MemoryError) as exc:", "except MemoryError as exc:"),
     # The set kernels.
     Mutant("member_unclamped", "src/rfw/wordset.py",
            "canonical[np.minimum(np.searchsorted(canonical, words), len(canonical) - 1)]",
