@@ -1,13 +1,13 @@
 """Random Fibonacci words: inflation sets, factor sets, and their entropy."""
 
-from .factors import (DEFAULT_ITEM_CAP, FactorReport, ItemCapError, build_report,
-                      c_stat, factor_set, factor_set_Fn, fa_next_count, format_c,
-                      table_rows, verify_factor_stability, verify_Fn_bound,
-                      verify_prefix_stability, verify_slice_bound, verify_superset)
-from .inflation import (PrngHandle, VerifyResult, count_A_explicit, count_A_long,
-                        count_A_short, entropy_limit, enumerate_A, inflate_step,
-                        log_growth, sample_chain, sample_packed, verify_overlap,
-                        verify_palindromic)
+from .factors import (DEFAULT_ITEM_CAP, FactorReport, ItemCapError, VerifyResult,
+                      build_report, c_stat, factor_set, factor_set_Fn, fa_next_count,
+                      format_c, table_rows, verify_factor_stability, verify_Fn_bound,
+                      verify_overlap, verify_palindromic, verify_prefix_stability,
+                      verify_slice_bound, verify_superset)
+from .inflation import (PrngHandle, count_A_explicit, count_A_long, count_A_short,
+                        entropy_limit, enumerate_A, inflate_step, log_growth, sample_chain,
+                        sample_packed)
 from .words import EMPTY, WORD_CAPACITY, CapacityError, Word, fib
 from .wordset import WordSet
 

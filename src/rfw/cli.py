@@ -10,6 +10,7 @@ property or a negative --max-n, or files that cannot be written.
 a reader that closes stdout early ends the command quietly with exit code 0.
 `verify` instead reports a check that hits a limit as a RESOURCE line and
 goes on; it exits 1 if any check failed, else 2 if any hit a limit.
+`factors` returns the numbers and the check plan; they are rendered here.
 """
 
 from __future__ import annotations
@@ -45,6 +46,14 @@ def _blank(x) -> str:
 def _row_cells(r: factors.FactorReport) -> list[str]:
     return [str(r.n), str(r.f_n), str(r.a_count), _blank(r.f_count),
             _blank(r.fa_next_count), "" if r.c is None else factors.format_c(r.c)]
+
+
+def _json_row(r: factors.FactorReport) -> dict:
+    c = None if r.c is None else {"num": r.c.numerator, "den": r.c.denominator,
+                                  "rounded": factors.format_c(r.c)}
+    return {"n": r.n, "f_n": r.f_n, "A_n": str(r.a_count),
+            "F_n": None if r.f_count is None else str(r.f_count),
+            "F_A_next": None if r.fa_next_count is None else str(r.fa_next_count), "c_n": c}
 
 
 @contextmanager
@@ -91,7 +100,7 @@ def cmd_table(args) -> int:
             for r in rows:
                 out.write(",".join(_row_cells(r)) + "\n")
         elif args.format == "json":
-            json.dump([r.to_json_dict() for r in rows], out, indent=2)
+            json.dump([_json_row(r) for r in rows], out, indent=2)
             out.write("\n")
         else:
             header = ["n", "f_n", "|A_n|", "|F_n|", "|F(A_n+1,f_n)|", "c_n"]
@@ -119,45 +128,16 @@ def cmd_entropy(args) -> int:
     return 0
 
 
-def _verify_checks(max_n: int, item_cap: int):
-    """Yield (property, label, thunk) for every check in scope."""
-    top = min(max_n + 1, MAX_ENUMERATED)  # largest generation enumerated by the suite
-    for n in range(1, top + 1):
-        yield "reversal", f"n={n}", lambda n=n: inflation.verify_palindromic(n)
-    for n in range(3, top):
-        for k in range(1, top - n + 1):
-            yield "prefix-stability", f"n={n},k={k}", \
-                lambda n=n, k=k: factors.verify_prefix_stability(n, k)
-    for n in range(4, min(top, 8) + 1):
-        yield "superset", f"n={n}", lambda n=n: factors.verify_superset(n)
-        yield "superset-reversed", f"n={n}", \
-            lambda n=n: factors.verify_superset(n, reversed_form=True)
-    for n in range(4, top - 1):
-        for k in range(2, top - n + 1):
-            yield "factor-stability", f"n={n},k={k}", \
-                lambda n=n, k=k: factors.verify_factor_stability(n, k)
-    yield "factor-instability-n3", "n=3,k=2 (expected failure)", \
-        lambda: inflation.VerifyResult(
-            not factors.verify_factor_stability(3, 2).ok,
-            "F(A_4,f_3) = F(A_5,f_3) although the paper-documented 00 factor should break it")
-    for n in range(4, min(top, 8) + 1):
-        yield "overlap", f"n={n}", lambda n=n: inflation.verify_overlap(n)
-    for n in range(3, top + 1):
-        yield "cut-bound", f"n={n}", lambda n=n: factors.verify_slice_bound(n)
-    for n in range(3, max_n + 1):
-        yield "factor-bound", f"n={n}", lambda n=n: factors.verify_Fn_bound(n, item_cap)
-
-
 def cmd_verify(args) -> int:
     wanted = None if args.prop == "all" else set(args.prop.split(","))
     if wanted is not None:
         # At max_n = MAX_ENUMERATED every property has at least one check.
-        unknown = wanted - {prop for prop, _, _ in _verify_checks(MAX_ENUMERATED, args.item_cap)}
+        unknown = wanted - {p for p, _, _ in factors._verify_checks(MAX_ENUMERATED, args.item_cap)}
         if unknown:
             names = ", ".join(name or "''" for name in sorted(unknown))  # name the empty entry
             raise ValueError(f"unknown property {names}")
     failures = limited = ran = 0
-    for prop, label, thunk in _verify_checks(args.max_n, args.item_cap):
+    for prop, label, thunk in factors._verify_checks(args.max_n, args.item_cap):
         if wanted is not None and prop not in wanted:
             continue
         ran += 1

@@ -1,4 +1,4 @@
-"""Factor sets of the random Fibonacci chain and the bound machinery.
+"""Factor sets of the random Fibonacci chain, and the paper's propositions.
 
 F_n is the set of length-f_n factors of the infinite inflation limit; for
 n >= 4 it equals F(A_{n+1}, f_n) and can be built *without* materializing
@@ -10,6 +10,10 @@ full Cartesian products the window set is exactly (suffix-slice set) x
 `wordset._product_windows` marks those 2(f_{n-1}+1) pieces' windows in
 aligned table buckets.  That is what lets the n = 9 row of the numerics
 table be computed although |A_10| ~ 3.8e10.
+
+Every brute-force check of a proposition about A_n and F_n lives here too:
+the seven `verify_*` functions, their `VerifyResult`, and `_verify_checks`,
+the plan of which check `rfw verify` runs at which generation.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .inflation import MAX_ENUMERATED, VerifyResult, check_capacity, enumerate_A, halves
+from .inflation import MAX_ENUMERATED, check_capacity, enumerate_A, halves
 from .words import CapacityError, Word, fib
 from .wordset import WordSet, _in_product, _member, _product_windows, _suffix_counts, _window_set
 
@@ -43,19 +47,16 @@ class FactorReport:
     fa_next_count: int | None
     c: Fraction | None
 
-    def to_json_dict(self) -> dict:
-        c_field = None
-        if self.c is not None:
-            c_field = {"num": self.c.numerator, "den": self.c.denominator,
-                       "rounded": format_c(self.c)}
-        return {
-            "n": self.n,
-            "f_n": self.f_n,
-            "A_n": str(self.a_count),
-            "F_n": None if self.f_count is None else str(self.f_count),
-            "F_A_next": None if self.fa_next_count is None else str(self.fa_next_count),
-            "c_n": c_field,
-        }
+
+@dataclass
+class VerifyResult:
+    """Outcome of one brute-force property check, with a witness on failure."""
+
+    ok: bool
+    witness: str | None = None
+
+    def __bool__(self) -> bool:
+        return self.ok
 
 
 def format_c(c: Fraction) -> str:
@@ -142,6 +143,41 @@ def c_stat(n: int) -> Fraction:
 # --- proposition verifiers -------------------------------------------
 
 
+def _least_difference(a: WordSet, b: WordSet) -> Word:
+    """The least word in exactly one of two unequal sets of one length."""
+    x, y = a.packed, b.packed
+    return Word(int(np.concatenate([x[~_member(y, x)], y[~_member(x, y)]]).min()), a.length)
+
+
+def verify_palindromic(n: int) -> VerifyResult:
+    """A_n is closed under word reversal (n >= 1)."""
+    a = enumerate_A(n)
+    rev = a.reverse()
+    if rev == a:
+        return VerifyResult(True)
+    # Reversal is an involution: the words whose reverse is missing are nobody's reverse.
+    missing = a.packed[~_member(rev.packed, a.packed)]
+    return VerifyResult(False, f"reverse({Word(int(missing.min()), a.length)}) not in A_{n}")
+
+
+def verify_overlap(n: int) -> VerifyResult:
+    """(A_{n-1}A_{n-2}) inter (A_{n-2}A_{n-1}) = A_{n-2}A_{n-3}A_{n-2}.
+
+    This is the index-shifted, length-consistent form of the overlap
+    identity behind the cubic recursion for |A_n|.
+    """
+    if n < 4:
+        raise ValueError(f"overlap identity needs n >= 4, got {n}")
+    (u, v), second = halves(n)
+    first = u.product(v)  # the intersection is its words that also split as the second pair
+    lhs = WordSet._of(first.length, first.packed[_in_product(first.packed, *second)])
+    (a2, a3), _ = halves(n - 1)
+    rhs = a2.product(a3).product(a2)
+    if lhs == rhs:
+        return VerifyResult(True)
+    return VerifyResult(False, f"overlap mismatch at n = {n}, e.g. {_least_difference(lhs, rhs)}")
+
+
 @lru_cache(maxsize=None)
 def _edges(m: int) -> tuple[WordSet, WordSet]:
     """(A_m[1, f_{m-1}-1], A_m[f_m-f_{m-1}+2, f_m]): each A_m's edges are read once."""
@@ -200,8 +236,7 @@ def verify_factor_stability(n: int, k: int) -> VerifyResult:
     later = factor_set(_next_factors(n + k - 1), f_n)
     if first == later:
         return VerifyResult(True)
-    a, b = first.packed, later.packed
-    w = Word(int(np.concatenate([a[~_member(b, a)], b[~_member(a, b)]]).min()), f_n)
+    w = _least_difference(first, later)
     return VerifyResult(False, f"F(A_{n + 1},f_{n}) != F(A_{n + k},f_{n}), e.g. {w}")
 
 
@@ -225,6 +260,31 @@ def verify_Fn_bound(n: int, item_cap: int = DEFAULT_ITEM_CAP) -> VerifyResult:
     if f_count <= bound:
         return VerifyResult(True)
     return VerifyResult(False, f"|F_{n}| = {f_count} > {bound}")
+
+
+def _verify_checks(max_n: int, item_cap: int):
+    """Yield (property, label, thunk) for every check in scope."""
+    top = min(max_n + 1, MAX_ENUMERATED)  # largest generation enumerated by the suite
+    for n in range(1, top + 1):
+        yield "reversal", f"n={n}", lambda n=n: verify_palindromic(n)
+    for n in range(3, top):
+        for k in range(1, top - n + 1):
+            yield "prefix-stability", f"n={n},k={k}", lambda n=n, k=k: verify_prefix_stability(n, k)
+    for n in range(4, min(top, 8) + 1):
+        yield "superset", f"n={n}", lambda n=n: verify_superset(n)
+        yield "superset-reversed", f"n={n}", lambda n=n: verify_superset(n, reversed_form=True)
+    for n in range(4, top - 1):
+        for k in range(2, top - n + 1):
+            yield "factor-stability", f"n={n},k={k}", lambda n=n, k=k: verify_factor_stability(n, k)
+    yield "factor-instability-n3", "n=3,k=2 (expected failure)", lambda: VerifyResult(
+        not verify_factor_stability(3, 2).ok,
+        "F(A_4,f_3) = F(A_5,f_3) although the paper-documented 00 factor should break it")
+    for n in range(4, min(top, 8) + 1):
+        yield "overlap", f"n={n}", lambda n=n: verify_overlap(n)
+    for n in range(3, top + 1):
+        yield "cut-bound", f"n={n}", lambda n=n: verify_slice_bound(n)
+    for n in range(3, max_n + 1):
+        yield "factor-bound", f"n={n}", lambda n=n: verify_Fn_bound(n, item_cap)
 
 
 # --- table assembly ---------------------------------------------------

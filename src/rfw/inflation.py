@@ -1,4 +1,4 @@
-"""Inflated random Fibonacci words: construction, counting, entropy.
+"""Inflated random Fibonacci words: construction, sampling, counting, entropy.
 
 The inflation rule maps 0 -> 1 and 1 -> 01 (probability p) or 10
 (probability 1-p), the choice drawn independently at each 1.  The set A_n
@@ -13,6 +13,7 @@ through n = 10 (f_10 = 55).
 Three independent routes to |A_n| are provided (a cubic recursion, a
 rational recursion, and an explicit product), plus the log-growth sum
 whose limit, the topological entropy of the chain, is summed from its series.
+The paper's propositions about these sets are checked in `factors`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import operator
 import random
 from bisect import bisect_left
 from collections.abc import Callable
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache, partial
 
@@ -35,17 +35,6 @@ from .wordset import WordSet, _both_products, _in_product, _member
 MAX_GENERATION = 10
 #: Largest generation built as a set; A_10 (3.8e10 words) is reached through `halves`.
 MAX_ENUMERATED = MAX_GENERATION - 1
-
-
-@dataclass
-class VerifyResult:
-    """Outcome of one brute-force property check, with a witness on failure."""
-
-    ok: bool
-    witness: str | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 class PrngHandle:
@@ -492,37 +481,3 @@ def entropy_limit(tol: float = 1e-8) -> float:
         m += 1
         terms.append(math.log(m) / phi ** (m + 2))
     return math.fsum(terms)
-
-
-# --- brute-force property checks -------------------------------------
-
-
-def verify_palindromic(n: int) -> VerifyResult:
-    """A_n is closed under word reversal (n >= 1)."""
-    a = enumerate_A(n)
-    rev = a.reverse()
-    if rev == a:
-        return VerifyResult(True)
-    # Reversal is an involution: the words whose reverse is missing are nobody's reverse.
-    missing = a.packed[~_member(rev.packed, a.packed)]
-    return VerifyResult(False, f"reverse({Word(int(missing.min()), a.length)}) not in A_{n}")
-
-
-def verify_overlap(n: int) -> VerifyResult:
-    """(A_{n-1}A_{n-2}) inter (A_{n-2}A_{n-1}) = A_{n-2}A_{n-3}A_{n-2}.
-
-    This is the index-shifted, length-consistent form of the overlap
-    identity behind the cubic recursion for |A_n|.
-    """
-    if n < 4:
-        raise ValueError(f"overlap identity needs n >= 4, got {n}")
-    (u, v), second = halves(n)
-    first = u.product(v)  # the intersection is its words that also split as the second pair
-    lhs = WordSet._of(first.length, first.packed[_in_product(first.packed, *second)])
-    (a2, a3), _ = halves(n - 1)
-    rhs = a2.product(a3).product(a2)
-    if lhs == rhs:
-        return VerifyResult(True)
-    a, b = lhs.packed, rhs.packed
-    w = Word(int(np.concatenate([a[~_member(b, a)], b[~_member(a, b)]]).min()), lhs.length)
-    return VerifyResult(False, f"overlap mismatch at n = {n}, e.g. {w}")

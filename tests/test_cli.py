@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 import rfw
 from rfw import CapacityError, PrngHandle, Word, WordSet, enumerate_A, inflation, sample_packed
 from rfw.cli import _SAMPLE_BLOCK, main
-from rfw.inflation import VerifyResult, halves, membership
+from rfw.factors import VerifyResult
+from rfw.inflation import halves, membership
 
 TABLE_CSV = """n,f_n,A_n,F_n,F_A_next,c_n
 0,0,0,,,
@@ -173,14 +174,12 @@ def test_verify_reports_every_fixed_limit_and_goes_on(capsys):
 
 
 def test_verify_exit_code_prefers_fail_to_limit(capsys, monkeypatch):
-    from rfw.inflation import VerifyResult
-
     def over_a_limit():
         raise CapacityError("too big")
 
     checks = [("cut-bound", "n=3", over_a_limit),
               ("overlap", "n=4", lambda: VerifyResult(False, "w"))]
-    monkeypatch.setattr("rfw.cli._verify_checks", lambda *args: iter(checks))
+    monkeypatch.setattr("rfw.factors._verify_checks", lambda *args: iter(checks))
     code, out, _ = run(capsys, "verify")
     assert code == 1
     assert out.splitlines()[-1] == "0/2 checks passed, 1 hit a limit"
@@ -198,7 +197,7 @@ def test_verify_reports_memory_error_and_goes_on(capsys, monkeypatch, message, s
         raise MemoryError(message)
 
     checks = [("overlap", "n=4", out_of_memory), ("cut-bound", "n=3", lambda: VerifyResult(True))]
-    monkeypatch.setattr("rfw.cli._verify_checks", lambda *args: iter(checks))
+    monkeypatch.setattr("rfw.factors._verify_checks", lambda *args: iter(checks))
     code, out, err = run(capsys, "verify")
     assert (code, err) == (2, "")
     assert out.splitlines() == [f"RESOURCE  overlap                n=4  [{shown}]",

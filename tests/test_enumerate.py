@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import rfw
 from rfw import (DEFAULT_ITEM_CAP, WORD_CAPACITY, CapacityError, ItemCapError, Word, WordSet,
-                 cli, count_A_explicit, enumerate_A, factor_set_Fn, fib, inflation,
+                 cli, count_A_explicit, enumerate_A, factor_set_Fn, factors, fib, inflation,
                  verify_overlap, verify_palindromic)
 from rfw.inflation import MAX_ENUMERATED, MAX_GENERATION
 from rfw.wordset import _member
@@ -119,17 +119,6 @@ def test_enumeration_below_the_ceiling_reads_no_count(n, monkeypatch):
     assert len(a_n) == want and a_n.length == fib(n)
 
 
-def test_the_ceiling_refuses_A_10_by_its_size():
-    with pytest.raises(CapacityError,
-                       match=r"^\|A_10\| = 37623398400 words: sets are enumerated up to A_9$"):
-        enumerate_A(10)
-
-
-def test_capacity_guard():
-    with pytest.raises(CapacityError):
-        enumerate_A(11)
-
-
 # Every fixed limit, the item cap included, raises the one type.
 FIXED_LIMITS = {
     "ceiling": (lambda: enumerate_A(10),
@@ -180,7 +169,7 @@ def budget_knobs(source):
                           for field in fields)})
 
 
-def test_guard_sees_budget_knobs():
+def test_guard_sees_every_budget_name():
     source = ("DEFAULT_BUDGET = 10**8\n"
               "def enumerate_A(n):\n    return n > DEFAULT_BUDGET\n"
               "def halves(n, budget=DEFAULT_BUDGET):\n    pass\n"
@@ -193,7 +182,7 @@ def test_guard_sees_budget_knobs():
     assert budget_knobs(source) == [1, 3, 4, 6, 7, 8, 10, 12, 13]
 
 
-def test_only_enumerate_A_reads_the_budget():
+def test_library_names_no_budget():
     found = [f"{path.name} line {line}" for path in sorted(SRC.glob("*.py"))
              for line in budget_knobs(path.read_text())]
     assert found == []
@@ -253,7 +242,7 @@ def test_palindromic_witness_is_the_first_word_whose_reverse_is_missing(monkeypa
     # Without 01011 and 10110, both 11010 (packed 11) and 01101 (packed 22)
     # lose their reverse; the canonical order puts 11010 first.
     kept = [w for w in enumerate_A(5) if str(w) not in {"01011", "10110"}]
-    monkeypatch.setattr(inflation, "enumerate_A", lambda n: WordSet(5, kept))
+    monkeypatch.setattr(factors, "enumerate_A", lambda n: WordSet(5, kept))
     res = verify_palindromic(5)
     assert not res.ok
     assert res.witness == "reverse(11010) not in A_5"
@@ -273,7 +262,7 @@ def A5_first_product_without_01(monkeypatch):
     def halves(n):
         (big, small), second = real(n)
         return (big, short if n == 5 else small), second
-    monkeypatch.setattr(inflation, "halves", halves)
+    monkeypatch.setattr(factors, "halves", halves)
 
 
 def test_overlap_witness_is_the_first_word_lost_from_the_intersection(A5_first_product_without_01):

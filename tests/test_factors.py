@@ -9,7 +9,8 @@ from rfw import (DEFAULT_ITEM_CAP, ItemCapError, Word, WordSet, c_stat, enumerat
                  factor_set, factor_set_Fn, fa_next_count, factors, fib, format_c,
                  verify_factor_stability, verify_Fn_bound, verify_overlap,
                  verify_prefix_stability, verify_slice_bound, verify_superset)
-from rfw.inflation import VerifyResult, halves
+from rfw.factors import VerifyResult
+from rfw.inflation import halves
 
 F_A6_F5 = """00101 00110 00111 01001 01010 01011 01100 01101 01110 01111
 10010 10011 10100 10101 10110 10111 11001 11010 11011 11100

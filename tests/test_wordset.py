@@ -910,3 +910,43 @@ def test_library_never_counts_a_slice_set():
     found = [f"{path.name} line {line}" for path in sorted(SRC.glob("*.py"))
              for line in counted_slice_sets(path.read_text())]
     assert found == []
+
+
+# The paper's propositions have one home: `factors` defines `VerifyResult`,
+# every `verify_*` check and `_verify_checks`, the plan that `rfw verify` runs.
+def check_definitions(source):
+    """(line, name) of each class, function or assigned name in `source` that
+    is `VerifyResult`, `_verify_checks` or starts with `verify_`."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = node.name
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            name = node.id
+        else:
+            continue
+        if name in {"VerifyResult", "_verify_checks"} or name.startswith("verify_"):
+            found.add((node.lineno, name))
+    return sorted(found)
+
+
+def test_guard_sees_checks_defined_outside_their_home():
+    source = ("class VerifyResult:\n    pass\n"
+              "def verify_overlap(n):\n    return VerifyResult(True)\n"
+              "verify_reversal = lambda n: None\n"
+              "async def verify_later():\n    pass\n"
+              "def _verify_checks(max_n):\n    yield verify_overlap\n"
+              "def cmd_verify(args):\n    verify = verify_overlap(4)\n"
+              "from .factors import verify_superset\n")
+    assert check_definitions(source) == [(1, "VerifyResult"), (3, "verify_overlap"),
+                                         (5, "verify_reversal"), (6, "verify_later"),
+                                         (8, "_verify_checks")]
+
+
+def test_only_factors_defines_the_checks_and_their_plan():
+    found = {path.name: check_definitions(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert [name for name, defs in found.items() if defs] == ["factors.py"]
+    assert {name for _, name in found["factors.py"]} == {
+        "VerifyResult", "_verify_checks", "verify_palindromic", "verify_prefix_stability",
+        "verify_superset", "verify_factor_stability", "verify_overlap", "verify_slice_bound",
+        "verify_Fn_bound"}

@@ -39,12 +39,12 @@ class Mutant(NamedTuple):
 
 MUTANTS = [
     # Every `verify` property answering PASS whatever the sets hold.
-    Mutant("verify_palindromic_vacuous", "src/rfw/inflation.py",
+    Mutant("verify_palindromic_vacuous", "src/rfw/factors.py",
            "    if rev == a:\n", "    if True:\n"),
-    Mutant("palindromic_witness_reads_the_reverses", "src/rfw/inflation.py",
+    Mutant("palindromic_witness_reads_the_reverses", "src/rfw/factors.py",
            "missing = a.packed[~_member(rev.packed, a.packed)]",
            "missing = rev.packed[~_member(a.packed, rev.packed)]"),
-    Mutant("verify_overlap_vacuous", "src/rfw/inflation.py",
+    Mutant("verify_overlap_vacuous", "src/rfw/factors.py",
            "    if lhs == rhs:\n", "    if True:\n"),
     Mutant("verify_prefix_stability_vacuous", "src/rfw/factors.py",
            "    a_n, f_n = enumerate_A(n), fib(n)\n    head, tail",
@@ -93,7 +93,7 @@ MUTANTS = [
     Mutant("unchecked_constructor_skips_the_length", "src/rfw/wordset.py",
            "        _check_length(length)\n        self = cls.__new__(cls)\n",
            "        self = cls.__new__(cls)\n"),
-    Mutant("overlap_splits_on_the_first_pair", "src/rfw/inflation.py",
+    Mutant("overlap_splits_on_the_first_pair", "src/rfw/factors.py",
            "_in_product(first.packed, *second)", "_in_product(first.packed, u, v)"),
     Mutant("membership_reads_one_half", "src/rfw/inflation.py",
            "for u, v in both]", "for u, v in both[:1]]"),
